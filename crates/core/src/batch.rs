@@ -36,8 +36,8 @@ use kato_circuits::{Metrics, SizingProblem};
 /// for uniform-cost problems, dynamic per-candidate streaming for
 /// uneven-cost ones (see the module docs).
 ///
-/// Single-design (and empty) populations skip the pool entirely — the
-/// spawn/join overhead would dwarf one simulator call.
+/// Single-design (and empty) populations skip the pool entirely — there
+/// is nothing to split.
 ///
 /// # Panics
 ///

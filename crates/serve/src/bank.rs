@@ -769,6 +769,7 @@ mod tests {
 
     #[test]
     fn append_then_reload_roundtrips_runs() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("roundtrip");
         let toy = Toy::new(0.6, "toy_180nm");
         let run = short_run(&toy, 3);
@@ -793,6 +794,7 @@ mod tests {
 
     #[test]
     fn select_source_prefers_the_aligned_archive() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("select");
         let near = Toy::new(0.55, "toy_180nm"); // close to the target physics
         let mut far = Toy::new(0.05, "toy_28nm"); // zero-information archive
@@ -827,6 +829,7 @@ mod tests {
 
     #[test]
     fn select_source_falls_back_without_probe_data() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("fallback");
         let toy = Toy::new(0.5, "toy_180nm");
         let mut bank = Bank::open(&dir).unwrap();
@@ -843,6 +846,7 @@ mod tests {
 
     #[test]
     fn corrupt_index_is_quarantined_and_rebuilt() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("corrupt");
         let toy = Toy::new(0.5, "toy_180nm");
         {
@@ -871,6 +875,7 @@ mod tests {
 
     #[test]
     fn corrupt_archive_is_quarantined_and_the_rest_survive() {
+        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("heal");
         let toy = Toy::new(0.5, "toy_180nm");
         {

@@ -640,6 +640,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_answer_with_errors() {
+        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let resp = d.handle_line("not json");
         let doc = Json::parse(&resp).unwrap();
@@ -657,6 +658,7 @@ mod tests {
 
     #[test]
     fn identical_requests_dedupe_through_the_cache() {
+        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let line = r#"{"id":"a","scenario":"opamp2","budget":12,"seed":3}"#.to_string();
         let first = d.handle_line(&line);
@@ -677,6 +679,7 @@ mod tests {
 
     #[test]
     fn batch_answers_in_order_and_dedupes_within_the_batch() {
+        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let lines = vec![
             r#"{"id":"1","scenario":"opamp2","budget":10,"seed":2}"#.to_string(),
@@ -701,6 +704,7 @@ mod tests {
 
     #[test]
     fn health_op_reports_bank_cache_and_counters() {
+        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let doc = Json::parse(&d.handle_line(r#"{"op":"health"}"#)).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
@@ -752,6 +756,7 @@ mod tests {
 
     #[test]
     fn deadlined_requests_degrade_and_skip_persistence() {
+        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let doc = Json::parse(&d.handle_line(
             r#"{"id":"d1","scenario":"opamp2","budget":30,"seed":4,"deadline_ms":1}"#,
@@ -774,6 +779,7 @@ mod tests {
 
     #[test]
     fn serve_loop_reads_writes_and_skips_blanks() {
+        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let input = "\n{\"id\":\"s1\",\"scenario\":\"opamp2\",\"budget\":8,\"seed\":5}\n\nbroken\n";
         let mut out = Vec::new();

@@ -134,7 +134,8 @@ pub fn hits(name: &str) -> u64 {
 /// Serialises tests that mutate the process-global registry. A test that
 /// calls [`arm`] / [`disarm_all`] should hold the returned guard for its
 /// whole body so parallel test threads don't observe each other's armed
-/// state.
+/// state, and so should a test that reaches a failpoint site (a bank
+/// write, a daemon job) in a binary where another test arms one.
 pub fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock()

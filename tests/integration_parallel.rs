@@ -140,3 +140,33 @@ fn transfer_run_identical_across_thread_counts() {
     assert_eq!(serial.len(), 22);
     assert_histories_identical(&serial, &parallel);
 }
+
+#[test]
+fn concurrent_runs_match_sequential_runs() {
+    // Two callers fanning out on the shared kato_par pool at once (the
+    // `katod --batch` pattern) must each get the history they would get
+    // alone.
+    let _guard = ENV_LOCK.lock().unwrap();
+    let toy = Toy::new();
+    let run = |seed: u64| Kato::new(BoSettings::quick(24, seed)).run(&toy, Mode::Constrained);
+
+    std::env::set_var("KATO_THREADS", "3");
+    let (first, second) = (run(5), run(13));
+    let start = std::sync::Barrier::new(2);
+    let (first_concurrent, second_concurrent) = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            start.wait();
+            run(5)
+        });
+        let b = s.spawn(|| {
+            start.wait();
+            run(13)
+        });
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    std::env::remove_var("KATO_THREADS");
+
+    assert_eq!(first.len(), 24);
+    assert_histories_identical(&first, &first_concurrent);
+    assert_histories_identical(&second, &second_concurrent);
+}
