@@ -15,12 +15,11 @@
 //! finishes in seconds; raise `--budget` for real experiments. Results are
 //! written as JSON under `results/` (override with `--out`).
 
-use kato::{corner_audit_at, BoSettings, Kato, Mode, RunHistory, SourceData, WorstCaseProblem};
-use kato_bench::json::Json;
+use kato::{corner_audit_at, Kato, Mode, RunHistory, SourceData};
 use kato_bench::{final_stats, mean_sims_to_reach, run_seeds};
-use kato_circuits::{Backend, Corner, ScenarioRegistry, SizingProblem, YieldSettings};
-use kato_serve::daemon::run_with_bank;
-use kato_serve::{Bank, SourceChoice};
+use kato_circuits::{Backend, Corner, ScenarioRegistry, SizingProblem};
+use kato_serve::daemon::{request_settings, run_with_bank};
+use kato_serve::{Bank, Json, SizingRequest, SourceChoice};
 use std::process::ExitCode;
 
 const USAGE: &str = "kato — transistor-sizing scenarios from the KATO reproduction
@@ -207,15 +206,8 @@ fn write_json(path: &str, doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn quick_settings(budget: usize, seed: u64) -> BoSettings {
-    let mut s = BoSettings::quick(budget, seed);
-    s.n_init = s.n_init.min(budget.saturating_sub(1).max(1));
-    s
-}
-
 fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), String> {
     let scenario = registry.get(name).map_err(|e| e.to_string())?;
-    let tech = opts.tech.as_deref().unwrap_or(scenario.default_tech);
     let corner_arg = opts.corner.as_deref().unwrap_or("tt");
     if opts.yield_samples.is_some() && opts.bank.is_some() {
         return Err(
@@ -225,52 +217,31 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
         );
     }
 
-    // Yield mode: the mismatch stream is keyed on the run seed, so each
-    // repetition gets its own problem instance (same circuit, same
-    // threshold, seed-specific Monte-Carlo draws).
-    let make_yield = |seed: u64| -> Result<Box<dyn SizingProblem>, String> {
-        let samples = opts.yield_samples.expect("yield mode");
-        let corners = if corner_arg == "worst" {
-            None // the scenario's registered sweep, worst-cased per sample
-        } else {
-            Some(vec![scenario
-                .corner(corner_arg)
-                .map_err(|e| e.to_string())?])
-        };
-        Ok(Box::new(
-            scenario
-                .build_yield(
-                    tech,
-                    opts.backend,
-                    YieldSettings {
-                        samples,
-                        threshold: scenario.yield_preset.threshold,
-                        seed,
-                        early_abort: true,
-                        corners,
-                    },
-                )
-                .map_err(|e| e.to_string())?,
-        ))
+    // One resolver for the CLI and `katod`: a request per seed. The
+    // problem is a single named corner, the worst-case wrapper, or the
+    // Monte-Carlo yield wrapper. In yield mode the mismatch stream is keyed
+    // on the run seed, so each repetition gets its own problem instance
+    // (same circuit, same threshold, seed-specific Monte-Carlo draws); the
+    // first seed's instance provides names/metrics.
+    let build = |seed: u64| {
+        SizingRequest {
+            id: String::new(),
+            scenario: name.to_string(),
+            tech: opts.tech.clone(),
+            corner: corner_arg.to_string(),
+            overrides: Vec::new(),
+            seed,
+            budget: opts.budget,
+            deadline_ms: None,
+            backend: opts.backend,
+            yield_samples: opts.yield_samples,
+        }
+        .build_problem(registry)
     };
-
-    // Build the problem: a single named corner, the worst-case wrapper, or
-    // the Monte-Carlo yield wrapper. In yield mode this instance (first
-    // seed) provides names/metrics; per-seed instances run the search.
     let worst = corner_arg == "worst";
     let seeds = seed_list(opts.seeds);
-    let problem: Box<dyn SizingProblem> = if opts.yield_samples.is_some() {
-        make_yield(seeds[0])?
-    } else if worst {
-        Box::new(
-            WorstCaseProblem::with_backend(scenario, tech, opts.backend)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        registry
-            .build_with(name, Some(tech), Some(corner_arg), opts.backend)
-            .map_err(|e| e.to_string())?
-    };
+    let (problem, tech) = build(seeds[0])?;
+    let tech = tech.as_str();
     let backend_name = opts.backend.unwrap_or(scenario.default_backend).name();
     println!(
         "run: {} (dim {}, backend {}, budget {}, {} seed(s))",
@@ -307,7 +278,7 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
                         name,
                         tech,
                         problem.as_ref(),
-                        quick_settings(opts.budget, seed),
+                        request_settings(opts.budget, seed),
                         None,
                     );
                     bank.append(name, tech, &h).map_err(|e| e.to_string())?;
@@ -323,9 +294,9 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
                     // on the first-seed instance above.
                     let per_seed: Option<Box<dyn SizingProblem>> = opts
                         .yield_samples
-                        .map(|_| make_yield(seed).expect("first-seed build validated settings"));
+                        .map(|_| build(seed).expect("first-seed build validated settings").0);
                     let target = per_seed.as_deref().unwrap_or(problem.as_ref());
-                    Kato::new(quick_settings(opts.budget, seed)).run(target, Mode::Constrained)
+                    Kato::new(request_settings(opts.budget, seed)).run(target, Mode::Constrained)
                 });
                 let n = histories.len();
                 (histories, vec![None; n])
@@ -488,11 +459,11 @@ fn cmd_transfer(
 
     let seeds = seed_list(opts.seeds);
     let plain = run_seeds(&seeds, |seed| {
-        Kato::new(quick_settings(opts.budget, seed)).run(target.as_ref(), Mode::Constrained)
+        Kato::new(request_settings(opts.budget, seed)).run(target.as_ref(), Mode::Constrained)
     });
     let with_tl = run_seeds(&seeds, |seed| {
         let archive = SourceData::from_problem_random(source.as_ref(), opts.source_n, seed ^ 0xA5);
-        Kato::new(quick_settings(opts.budget, seed))
+        Kato::new(request_settings(opts.budget, seed))
             .with_source(archive)
             .with_label("KATO+TL")
             .run(target.as_ref(), Mode::Constrained)

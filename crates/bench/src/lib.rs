@@ -9,8 +9,6 @@
 //! Binaries default to a **quick profile** (2 seeds, reduced budgets) and
 //! accept `--full` for paper-scale runs.
 
-pub use kato_serve::json;
-
 use kato::RunHistory;
 use std::fs;
 use std::io::Write;

@@ -9,9 +9,8 @@
 //!   arithmetic, cache-blocked products and views.
 //! * [`CholeskyFactor`] — persistent, updatable jittered Cholesky
 //!   factorisation used by the Gaussian process crates: one-shot solves and
-//!   log-determinants plus rank-k [`CholeskyFactor::extend`] /
-//!   [`CholeskyFactor::downdate`] updates for the incremental-refit hot
-//!   path.
+//!   log-determinants plus rank-k [`CholeskyFactor::extend`] updates for
+//!   the incremental-refit hot path.
 //! * [`Lu`] — partially-pivoted LU for the real Newton solves inside the MNA
 //!   circuit simulator.
 //! * [`Complex64`] / [`ComplexLu`] — minimal complex arithmetic and a complex

@@ -47,6 +47,7 @@
 //! knowledge-alignment machinery the optimiser itself uses, paper §3.2).
 
 use crate::archive::{history_from_json, history_to_json};
+use crate::faults::Faults;
 use crate::json::Json;
 use kato::{RunHistory, SourceData};
 use kato_circuits::{Goal, Spec, SpecKind};
@@ -128,6 +129,8 @@ pub struct Bank {
     /// process witnessed; see [`Bank::quarantined_files`] for the
     /// persistent on-disk count).
     quarantined_on_open: usize,
+    /// Failpoints checked before every file write (disarmed by default).
+    faults: Faults,
 }
 
 fn io_err(path: &Path, what: &str, e: &std::io::Error) -> BankError {
@@ -139,14 +142,14 @@ fn io_err(path: &Path, what: &str, e: &std::io::Error) -> BankError {
 /// here; `bank_torn` simulates a crash that bypassed the temp+rename
 /// protocol and left a truncated destination file (reported as success,
 /// like a real torn write would be).
-fn atomic_write_once(path: &Path, content: &str) -> Result<(), BankError> {
-    if crate::faults::countdown("bank_write") {
+fn atomic_write_once(path: &Path, content: &str, faults: &Faults) -> Result<(), BankError> {
+    if faults.countdown("bank_write") {
         return Err(BankError::Io(format!(
             "injected bank_write failure for {}",
             path.display()
         )));
     }
-    if crate::faults::countdown("bank_torn") {
+    if faults.countdown("bank_torn") {
         let half = &content.as_bytes()[..content.len() / 2];
         fs::write(path, half).map_err(|e| io_err(path, "torn write", &e))?;
         return Ok(());
@@ -164,11 +167,11 @@ fn atomic_write_once(path: &Path, content: &str) -> Result<(), BankError> {
 /// Atomic write with bounded retry: transient I/O errors back off
 /// exponentially ([`WRITE_BACKOFF`], doubling) for up to
 /// [`WRITE_ATTEMPTS`] attempts before the last error surfaces.
-fn atomic_write(path: &Path, content: &str) -> Result<(), BankError> {
+fn atomic_write(path: &Path, content: &str, faults: &Faults) -> Result<(), BankError> {
     let mut delay = WRITE_BACKOFF;
     let mut attempt = 1;
     loop {
-        match atomic_write_once(path, content) {
+        match atomic_write_once(path, content, faults) {
             Ok(()) => return Ok(()),
             Err(BankError::Io(_)) if attempt < WRITE_ATTEMPTS => {
                 std::thread::sleep(delay);
@@ -350,12 +353,21 @@ impl Bank {
             dir,
             entries,
             quarantined_on_open,
+            faults: Faults::default(),
         };
         // Persist the healed manifest whenever it disagrees with disk.
         if bank.entries != index_entries || quarantined_on_open > 0 {
             bank.write_index()?;
         }
         Ok(bank)
+    }
+
+    /// Arms failpoints on this bank's file writes (`bank_write`,
+    /// `bank_torn`). Writes made by [`Bank::open`] itself ran disarmed.
+    #[must_use]
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// Number of files this open quarantined while recovering.
@@ -431,7 +443,7 @@ impl Bank {
             ("version", Json::Num(BANK_VERSION as f64)),
             ("entries", Json::Arr(rows)),
         ]);
-        atomic_write(&self.dir.join("index.json"), &doc.to_string())
+        atomic_write(&self.dir.join("index.json"), &doc.to_string(), &self.faults)
     }
 
     /// Appends a completed run to the `scenario×tech` archive, creating the
@@ -472,7 +484,7 @@ impl Bank {
             ("tech", Json::str(tech)),
             ("runs", Json::Arr(runs)),
         ]);
-        atomic_write(&path, &doc.to_string())?;
+        atomic_write(&path, &doc.to_string(), &self.faults)?;
 
         match self
             .entries
@@ -769,7 +781,6 @@ mod tests {
 
     #[test]
     fn append_then_reload_roundtrips_runs() {
-        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("roundtrip");
         let toy = Toy::new(0.6, "toy_180nm");
         let run = short_run(&toy, 3);
@@ -794,7 +805,6 @@ mod tests {
 
     #[test]
     fn select_source_prefers_the_aligned_archive() {
-        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("select");
         let near = Toy::new(0.55, "toy_180nm"); // close to the target physics
         let mut far = Toy::new(0.05, "toy_28nm"); // zero-information archive
@@ -829,7 +839,6 @@ mod tests {
 
     #[test]
     fn select_source_falls_back_without_probe_data() {
-        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("fallback");
         let toy = Toy::new(0.5, "toy_180nm");
         let mut bank = Bank::open(&dir).unwrap();
@@ -846,7 +855,6 @@ mod tests {
 
     #[test]
     fn corrupt_index_is_quarantined_and_rebuilt() {
-        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("corrupt");
         let toy = Toy::new(0.5, "toy_180nm");
         {
@@ -875,7 +883,6 @@ mod tests {
 
     #[test]
     fn corrupt_archive_is_quarantined_and_the_rest_survive() {
-        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("heal");
         let toy = Toy::new(0.5, "toy_180nm");
         {
@@ -909,24 +916,23 @@ mod tests {
 
     #[test]
     fn injected_write_failures_are_retried_and_torn_writes_heal() {
-        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("faults");
         let toy = Toy::new(0.5, "toy_180nm");
         // Two injected failures: both retried away within one append.
-        crate::faults::arm("bank_write=2");
+        let faults = Faults::parse("bank_write=2");
         {
-            let mut bank = Bank::open(&dir).unwrap();
+            let mut bank = Bank::open(&dir).unwrap().with_faults(faults.clone());
             bank.append("toy", "180nm", &short_run(&toy, 3)).unwrap();
-            assert!(crate::faults::hits("bank_write") >= 3);
+            assert!(faults.hits("bank_write") >= 3);
         }
         // A torn archive write: append reports success (as a real torn
         // write would), and the next open quarantines + heals.
-        crate::faults::arm("bank_torn=1");
         {
-            let mut bank = Bank::open(&dir).unwrap();
+            let mut bank = Bank::open(&dir)
+                .unwrap()
+                .with_faults(Faults::parse("bank_torn=1"));
             bank.append("toy", "28nm", &short_run(&toy, 5)).unwrap();
         }
-        crate::faults::disarm_all();
         let bank = Bank::open(&dir).unwrap();
         assert_eq!(bank.quarantined_on_open(), 1);
         assert_eq!(bank.entries().len(), 1);

@@ -13,11 +13,15 @@
 //! bank at `<dir>` and new requests warm-start from its best-aligned
 //! archive.
 //!
+//! `KATO_FAILPOINTS` (e.g. `sim_panic=5`, see `kato_serve::faults`) arms
+//! deterministic failpoints on this daemon and its bank, for
+//! fault-injection testing.
+//!
 //! ```text
 //! echo '{"scenario":"opamp2","tech":"40nm","budget":40}' | katod --bank runs/bank
 //! ```
 
-use kato_serve::{Bank, Daemon};
+use kato_serve::{Bank, Daemon, Faults};
 use std::io::{self, BufReader};
 use std::process::ExitCode;
 
@@ -148,10 +152,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut daemon = Daemon::new();
+    // The one place the environment arms failpoints: the daemon and its
+    // bank share this handle.
+    let faults = Faults::from_env();
+    let mut daemon = Daemon::new().with_faults(faults.clone());
     if let Some(dir) = &opts.bank {
         match Bank::open(dir) {
-            Ok(bank) => daemon = daemon.with_bank(bank),
+            Ok(bank) => daemon = daemon.with_bank(bank.with_faults(faults)),
             Err(e) => {
                 eprintln!("katod: cannot open bank '{dir}': {e}");
                 return ExitCode::from(2);

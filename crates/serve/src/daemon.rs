@@ -12,9 +12,10 @@
 //! The serving loop survives its jobs:
 //!
 //! * a job that **panics** (a simulator crash, exercised by the
-//!   [`crate::faults`] `sim_panic` failpoint) answers with an error
-//!   response carrying that request's `id`; in a batch, every other job
-//!   still returns its result, and the daemon keeps serving;
+//!   `sim_panic` failpoint on the daemon's own [`Faults`] handle, see
+//!   [`Daemon::with_faults`]) answers with an error response carrying that
+//!   request's `id`; in a batch, every other job still returns its result,
+//!   and the daemon keeps serving;
 //! * a request with `deadline_ms` runs under a [`RunBudget`] and answers
 //!   best-so-far with `"degraded": true` when the deadline fires — degraded
 //!   traces are *not* persisted to the bank or cache, so a later request
@@ -24,6 +25,7 @@
 
 use crate::bank::{Bank, SourceChoice};
 use crate::cache::ResultCache;
+use crate::faults::Faults;
 use crate::json::Json;
 use crate::protocol::{error_json, response_json, SizingRequest};
 use kato::{BoSettings, Kato, Mode, RunBudget, RunHistory};
@@ -49,13 +51,14 @@ pub fn request_settings(budget: usize, seed: u64) -> BoSettings {
     s
 }
 
-/// Wraps a problem so the `sim_panic` failpoint can crash its evaluations:
-/// armed with a request seed (`KATO_FAILPOINTS=sim_panic=5`), every
+/// Wraps a problem so the daemon's `sim_panic` failpoint can crash its
+/// evaluations: armed with a request seed (`sim_panic=5`), every
 /// evaluation of the job running under that seed panics — deterministic
 /// regardless of how a batch interleaves across worker threads.
 struct FaultProblem<'a> {
     inner: &'a dyn SizingProblem,
     seed: u64,
+    faults: &'a Faults,
 }
 
 impl SizingProblem for FaultProblem<'_> {
@@ -73,7 +76,7 @@ impl SizingProblem for FaultProblem<'_> {
     }
     fn evaluate(&self, x: &[f64]) -> Metrics {
         assert!(
-            !crate::faults::matches("sim_panic", self.seed),
+            !self.faults.matches("sim_panic", self.seed),
             "injected simulator panic (sim_panic={})",
             self.seed
         );
@@ -83,7 +86,7 @@ impl SizingProblem for FaultProblem<'_> {
         // Forward to the inner batch path (the shim must not serialise the
         // population); the failpoint check still guards every batch.
         assert!(
-            !crate::faults::matches("sim_panic", self.seed),
+            !self.faults.matches("sim_panic", self.seed),
             "injected simulator panic (sim_panic={})",
             self.seed
         );
@@ -114,7 +117,9 @@ impl SizingProblem for FaultProblem<'_> {
 /// cooperatively: between simulations, including during the probe — an
 /// exhausted budget returns best-so-far instead of overrunning.
 ///
-/// Shared by the daemon and the `kato run --bank` CLI path.
+/// Shared by the daemon and the `kato run --bank` CLI path. It consults no
+/// failpoints: the daemon wraps `problem` itself when its own [`Faults`]
+/// handle arms `sim_panic`.
 #[must_use]
 pub fn run_with_bank(
     bank: Option<&Bank>,
@@ -124,17 +129,6 @@ pub fn run_with_bank(
     settings: BoSettings,
     run_budget: Option<RunBudget>,
 ) -> (RunHistory, Option<SourceChoice>) {
-    // When sim_panic is armed, route evaluations through the failpoint
-    // check; disarmed serving takes the zero-overhead path.
-    let fault_shim = FaultProblem {
-        inner: problem,
-        seed: settings.seed,
-    };
-    let problem: &dyn SizingProblem = if crate::faults::armed("sim_panic").is_some() {
-        &fault_shim
-    } else {
-        problem
-    };
     let attach = |k: Kato| match run_budget.clone() {
         Some(b) => k.with_run_budget(b),
         None => k,
@@ -190,6 +184,7 @@ pub struct Daemon {
     cache: ResultCache,
     jobs_served: usize,
     jobs_failed: usize,
+    faults: Faults,
 }
 
 /// Outcome of one executed (non-cached) job, before persistence.
@@ -212,7 +207,16 @@ impl Daemon {
             cache: ResultCache::new(),
             jobs_served: 0,
             jobs_failed: 0,
+            faults: Faults::default(),
         }
+    }
+
+    /// Arms the `sim_panic` failpoint for this daemon's jobs. A bank's
+    /// write failpoints live on the bank itself ([`Bank::with_faults`]).
+    #[must_use]
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// Attaches a knowledge bank: completed runs are persisted to it and
@@ -337,26 +341,10 @@ impl Daemon {
             )
             .to_string();
         }
-        let settings = request_settings(request.budget, request.seed);
-        // Yield jobs carry an extra metric, so nominal bank archives don't
-        // align with them (and vice versa): run them bankless.
-        let bank = if request.yield_samples.is_some() {
-            None
-        } else {
-            self.bank.as_ref()
-        };
-        let run_budget = request.deadline_ms.map(RunBudget::deadline_ms);
         // Panic isolation: a crashing evaluation answers this request with
         // an error instead of taking the daemon down.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_with_bank(
-                bank,
-                &request.scenario,
-                &tech,
-                &*problem,
-                settings,
-                run_budget,
-            )
+            self.run_job(&request, &tech, &*problem)
         }));
         let (history, warm) = match outcome {
             Ok(result) => result,
@@ -386,6 +374,42 @@ impl Daemon {
             degraded,
         });
         response.to_string()
+    }
+
+    /// Runs one resolved request through [`run_with_bank`]. Yield jobs
+    /// carry an extra metric, so nominal bank archives don't align with
+    /// them (and vice versa): they run bankless. When this daemon's handle
+    /// arms `sim_panic`, evaluations go through the failpoint check;
+    /// disarmed serving takes the zero-overhead path.
+    fn run_job(
+        &self,
+        request: &SizingRequest,
+        tech: &str,
+        problem: &dyn SizingProblem,
+    ) -> (RunHistory, Option<SourceChoice>) {
+        let bank = if request.yield_samples.is_some() {
+            None
+        } else {
+            self.bank.as_ref()
+        };
+        let fault_shim = FaultProblem {
+            inner: problem,
+            seed: request.seed,
+            faults: &self.faults,
+        };
+        let problem: &dyn SizingProblem = if self.faults.armed("sim_panic").is_some() {
+            &fault_shim
+        } else {
+            problem
+        };
+        run_with_bank(
+            bank,
+            &request.scenario,
+            tech,
+            problem,
+            request_settings(request.budget, request.seed),
+            request.deadline_ms.map(RunBudget::deadline_ms),
+        )
     }
 
     /// Appends a completed job to the bank (when attached) and caches it.
@@ -477,29 +501,12 @@ impl Daemon {
         // problems are rebuilt inside the worker so nothing non-Send
         // crosses threads. `Err` holds the message for the error response.
         let registry = &self.registry;
-        let bank = self.bank.as_ref();
         let results: Vec<Result<JobResult, String>> =
             kato_par::try_par_map(&jobs, |(key, request, tech)| {
                 let (problem, _) = request.build_problem(registry).map_err(|e| {
                     panic!("request resolved at intake no longer builds: {e}");
                 })?;
-                let settings = request_settings(request.budget, request.seed);
-                let run_budget = request.deadline_ms.map(RunBudget::deadline_ms);
-                // Same bank gating as the serial path: yield jobs run
-                // bankless (metric vectors don't align with nominal runs).
-                let job_bank = if request.yield_samples.is_some() {
-                    None
-                } else {
-                    bank
-                };
-                let (history, warm) = run_with_bank(
-                    job_bank,
-                    &request.scenario,
-                    tech,
-                    &*problem,
-                    settings,
-                    run_budget,
-                );
+                let (history, warm) = self.run_job(request, tech, &*problem);
                 let degraded = request.deadline_ms.is_some() && history.len() < request.budget;
                 Ok::<JobResult, ()>(JobResult {
                     key: key.clone(),
@@ -640,7 +647,6 @@ mod tests {
 
     #[test]
     fn malformed_lines_answer_with_errors() {
-        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let resp = d.handle_line("not json");
         let doc = Json::parse(&resp).unwrap();
@@ -658,7 +664,6 @@ mod tests {
 
     #[test]
     fn identical_requests_dedupe_through_the_cache() {
-        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let line = r#"{"id":"a","scenario":"opamp2","budget":12,"seed":3}"#.to_string();
         let first = d.handle_line(&line);
@@ -679,7 +684,6 @@ mod tests {
 
     #[test]
     fn batch_answers_in_order_and_dedupes_within_the_batch() {
-        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let lines = vec![
             r#"{"id":"1","scenario":"opamp2","budget":10,"seed":2}"#.to_string(),
@@ -704,7 +708,6 @@ mod tests {
 
     #[test]
     fn health_op_reports_bank_cache_and_counters() {
-        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let doc = Json::parse(&d.handle_line(r#"{"op":"health"}"#)).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
@@ -730,11 +733,9 @@ mod tests {
 
     #[test]
     fn a_panicking_job_answers_with_an_error_and_serving_continues() {
-        let _guard = crate::faults::test_lock();
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        crate::faults::arm("sim_panic=5");
-        let mut d = Daemon::new();
+        let mut d = Daemon::new().with_faults(Faults::parse("sim_panic=5"));
         let doc =
             Json::parse(&d.handle_line(r#"{"id":"boom","scenario":"opamp2","budget":8,"seed":5}"#))
                 .unwrap();
@@ -746,7 +747,7 @@ mod tests {
         assert!(msg.contains("sim_panic"), "{msg}");
         assert_eq!(d.jobs_failed(), 1);
         // Disarmed, the same daemon keeps serving — including seed 5.
-        crate::faults::disarm_all();
+        let mut d = d.with_faults(Faults::default());
         let doc =
             Json::parse(&d.handle_line(r#"{"id":"ok","scenario":"opamp2","budget":8,"seed":5}"#))
                 .unwrap();
@@ -756,7 +757,6 @@ mod tests {
 
     #[test]
     fn deadlined_requests_degrade_and_skip_persistence() {
-        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let doc = Json::parse(&d.handle_line(
             r#"{"id":"d1","scenario":"opamp2","budget":30,"seed":4,"deadline_ms":1}"#,
@@ -779,7 +779,6 @@ mod tests {
 
     #[test]
     fn serve_loop_reads_writes_and_skips_blanks() {
-        let _guard = crate::faults::test_lock();
         let mut d = Daemon::new();
         let input = "\n{\"id\":\"s1\",\"scenario\":\"opamp2\",\"budget\":8,\"seed\":5}\n\nbroken\n";
         let mut out = Vec::new();

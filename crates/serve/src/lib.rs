@@ -21,9 +21,11 @@
 //!   over the [`kato_par`] pool with per-job panic isolation, request
 //!   deadlines (`deadline_ms` → degraded best-so-far), and the
 //!   `{"op":"health"}` report.
-//! * [`faults`] — dependency-free deterministic failpoints
-//!   (`KATO_FAILPOINTS=bank_write=2,sim_panic=5`) used to test all of the
-//!   above under injected crashes, torn writes and I/O errors.
+//! * [`faults`] — dependency-free deterministic failpoints on an owned
+//!   [`Faults`] handle that only the [`Bank`] and [`Daemon`] holding it
+//!   see, used to test all of the above under injected crashes, torn
+//!   writes and I/O errors. `katod` arms its handle from
+//!   `KATO_FAILPOINTS=bank_write=2,sim_panic=5`.
 //!
 //! # Request lifecycle
 //!
@@ -50,5 +52,6 @@ pub mod protocol;
 pub use bank::{Bank, BankError, SourceChoice};
 pub use cache::ResultCache;
 pub use daemon::Daemon;
+pub use faults::Faults;
 pub use json::Json;
 pub use protocol::SizingRequest;

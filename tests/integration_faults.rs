@@ -2,19 +2,20 @@
 //! panics, corrupt bank files and request deadlines.
 //!
 //! Complements `integration_bank.rs` (the happy-path warm-start flow) by
-//! driving the same stack through its failure modes: the deterministic
-//! failpoints in `kato_serve::faults`, hand-corrupted archive files, and
+//! driving the same stack through its failure modes: deterministic
+//! failpoints on a [`Faults`] handle, hand-corrupted archive files, and
 //! adversarial request lines (property-fuzzed parsers).
 //!
-//! Tests that arm failpoints or run sizing jobs hold
-//! `kato_serve::faults::test_lock()` so a failpoint armed by one test
-//! never fires inside another running on a parallel test thread.
+//! Each test arms only the bank or daemon it builds, so tests run in
+//! parallel without a lock; the scoping tests at the end check that an
+//! armed object never leaks a fault into a disarmed one.
 
 use kato_serve::daemon::run_with_bank;
-use kato_serve::{faults, Bank, Daemon, Json, SizingRequest};
+use kato_serve::{Bank, Daemon, Faults, Json, SizingRequest};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Barrier;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kato_faults_test_{tag}_{}", std::process::id()));
@@ -63,13 +64,12 @@ proptest! {
 
 #[test]
 fn batch_with_a_panicking_job_isolates_the_failure() {
-    let _guard = faults::test_lock();
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     // Seed 5 crashes every one of its simulator evaluations; 7 and 9 run
     // normally alongside it on the same pool.
-    faults::arm("sim_panic=5");
-    let mut daemon = Daemon::new();
+    let faults = Faults::parse("sim_panic=5");
+    let mut daemon = Daemon::new().with_faults(faults.clone());
     let lines = vec![
         r#"{"id":"crash","scenario":"opamp2","budget":8,"seed":5}"#.to_string(),
         r#"{"id":"fine-1","scenario":"opamp2","budget":8,"seed":7}"#.to_string(),
@@ -91,11 +91,11 @@ fn batch_with_a_panicking_job_isolates_the_failure() {
         assert_eq!(doc.get("id").unwrap().as_str(), Some(id));
         assert_eq!(doc.get("n_evals").unwrap().as_f64(), Some(8.0));
     }
-    assert!(faults::hits("sim_panic") >= 1);
+    assert!(faults.hits("sim_panic") >= 1);
 
     // The daemon is still serving: the crashed request succeeds once the
     // failpoint is disarmed, and health reflects the failure.
-    faults::disarm_all();
+    let mut daemon = daemon.with_faults(Faults::default());
     let retry = daemon.handle_line(r#"{"id":"retry","scenario":"opamp2","budget":8,"seed":5}"#);
     let doc = Json::parse(&retry).unwrap();
     assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
@@ -106,7 +106,6 @@ fn batch_with_a_panicking_job_isolates_the_failure() {
 
 #[test]
 fn corrupt_archive_still_warm_starts_and_shows_in_health() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("quarantine");
 
     // Populate the bank with a real 180 nm archive through the daemon.
@@ -151,13 +150,12 @@ fn corrupt_archive_still_warm_starts_and_shows_in_health() {
 
 #[test]
 fn injected_bank_write_failures_are_invisible_to_callers() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("retry");
     // Two injected write failures are absorbed by the retry loop: the
     // append succeeds and the archive lands on disk intact.
-    faults::arm("bank_write=2");
+    let faults = Faults::parse("bank_write=2");
     {
-        let bank = Bank::open(&dir).unwrap();
+        let bank = Bank::open(&dir).unwrap().with_faults(faults.clone());
         let mut daemon = Daemon::new().with_bank(bank);
         let resp = daemon.handle_line(r#"{"id":"w","scenario":"opamp2","budget":8,"seed":6}"#);
         assert_eq!(
@@ -165,7 +163,7 @@ fn injected_bank_write_failures_are_invisible_to_callers() {
             Some("ok")
         );
     }
-    faults::disarm_all();
+    assert!(faults.hits("bank_write") >= 3);
     let bank = Bank::open(&dir).unwrap();
     assert_eq!(bank.quarantined_on_open(), 0);
     assert_eq!(bank.total_runs(), 1);
@@ -174,7 +172,6 @@ fn injected_bank_write_failures_are_invisible_to_callers() {
 
 #[test]
 fn deadline_in_a_batch_degrades_only_its_own_job() {
-    let _guard = faults::test_lock();
     let mut daemon = Daemon::new();
     let lines = vec![
         r#"{"id":"slow","scenario":"opamp2","budget":30,"seed":21,"deadline_ms":1}"#.to_string(),
@@ -194,7 +191,6 @@ fn deadline_in_a_batch_degrades_only_its_own_job() {
 
 #[test]
 fn run_with_bank_honours_a_preset_cancel_flag() {
-    let _guard = faults::test_lock();
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     let registry = kato_circuits::ScenarioRegistry::standard();
@@ -206,4 +202,65 @@ fn run_with_bank_honours_a_preset_cancel_flag() {
     let (history, warm) = run_with_bank(None, "opamp2", &tech, &*problem, settings, Some(budget));
     assert_eq!(history.len(), 0);
     assert!(warm.is_none());
+}
+
+#[test]
+fn an_armed_daemon_never_faults_a_concurrent_disarmed_one() {
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let line = r#"{"id":"same","scenario":"opamp2","budget":8,"seed":5}"#;
+    let start = Barrier::new(2);
+    let (armed, disarmed) = std::thread::scope(|s| {
+        let run = |faults: Faults| {
+            let start = &start;
+            s.spawn(move || {
+                let mut daemon = Daemon::new().with_faults(faults);
+                start.wait();
+                daemon.handle_line(line)
+            })
+        };
+        let armed = run(Faults::parse("sim_panic=5"));
+        let disarmed = run(Faults::default());
+        (armed.join().unwrap(), disarmed.join().unwrap())
+    });
+    std::panic::set_hook(prev_hook);
+    let armed = Json::parse(&armed).unwrap();
+    assert_eq!(armed.get("status").unwrap().as_str(), Some("error"));
+    let disarmed = Json::parse(&disarmed).unwrap();
+    assert_eq!(disarmed.get("status").unwrap().as_str(), Some("ok"));
+    assert_eq!(disarmed.get("n_evals").unwrap().as_f64(), Some(8.0));
+}
+
+#[test]
+fn an_armed_bank_never_tears_a_concurrent_disarmed_one() {
+    let registry = kato_circuits::ScenarioRegistry::standard();
+    let req = SizingRequest::parse(r#"{"scenario":"opamp2","budget":8,"seed":3}"#).unwrap();
+    let (problem, tech) = req.build_problem(&registry).unwrap();
+    let settings = kato_serve::daemon::request_settings(req.budget, req.seed);
+    let (history, _) = run_with_bank(None, "opamp2", &tech, &*problem, settings, None);
+
+    let armed_dir = tmp_dir("scoped_armed");
+    let disarmed_dir = tmp_dir("scoped_disarmed");
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for (dir, faults) in [
+            (&armed_dir, Faults::parse("bank_torn=1")),
+            (&disarmed_dir, Faults::default()),
+        ] {
+            let (start, history, tech) = (&start, &history, &tech);
+            s.spawn(move || {
+                let mut bank = Bank::open(dir).unwrap().with_faults(faults);
+                start.wait();
+                bank.append("opamp2", tech, history).unwrap();
+            });
+        }
+    });
+    let armed = Bank::open(&armed_dir).unwrap();
+    assert_eq!(armed.quarantined_on_open(), 1);
+    assert_eq!(armed.total_runs(), 0);
+    let disarmed = Bank::open(&disarmed_dir).unwrap();
+    assert_eq!(disarmed.quarantined_on_open(), 0);
+    assert_eq!(disarmed.total_runs(), 1);
+    fs::remove_dir_all(&armed_dir).unwrap();
+    fs::remove_dir_all(&disarmed_dir).unwrap();
 }
