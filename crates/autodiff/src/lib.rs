@@ -18,10 +18,12 @@
 //!   and network code in `kato-gp` is written once and used for both fast
 //!   inference (plain `f64`) and training (taped).
 //! * [`Adam`] — the stochastic optimiser used for all MLE fits.
-//! * [`Tape::backward_seeded`] — multi-output backward pass used by the GP
+//! * [`Tape::backward_seeded`] — multi-output backward pass for the GP
 //!   "B-matrix" gradient trick, where each Gram-matrix entry gets its own
 //!   adjoint seed `∂L/∂K_ij` and one sweep yields `∂L/∂θ` for every
-//!   hyperparameter.
+//!   hyperparameter. `kato-gp` trains plain GPs with a hand-written
+//!   replay of this sweep that equals it bit for bit, and keeps the tape
+//!   as that replay's test reference and for KAT-GP training.
 //!
 //! # Example
 //!

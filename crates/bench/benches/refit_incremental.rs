@@ -4,9 +4,13 @@
 //! scalers, rank-k Cholesky extension, warm-started hyperparameters).
 //!
 //! Archive sizes mirror the acceptance gate (≥64 points) and the batch
-//! size mirrors the default BO batch.
+//! size mirrors the default BO batch. `append_forced_retrain` times the
+//! append that fails the warm-likelihood gate and retrains: the sizing
+//! loop's own retrain configuration (`BoSettings::quick`'s GP config with
+//! `refit_iters` Adam steps), with the gate forced shut.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use kato::BoSettings;
 use kato_circuits::{random_design, SizingProblem, TechNode, TwoStageOpAmp};
 use kato_gp::{Gp, GpConfig, KernelSpec};
 use rand::rngs::StdRng;
@@ -58,6 +62,34 @@ fn bench_refit(c: &mut Criterion) {
                 black_box(&xs[ARCHIVE_N..]),
                 black_box(&ys[ARCHIVE_N..]),
                 &cfg,
+            )
+            .unwrap();
+            black_box(gp)
+        })
+    });
+
+    // The loop fits with the settings' GP config, then appends with
+    // `train_iters = refit_iters`.
+    let settings = BoSettings::quick(100, 0);
+    let loop_fitted = Gp::fit(
+        KernelSpec::neuk(dim),
+        &xs[..ARCHIVE_N],
+        &ys[..ARCHIVE_N],
+        &settings.gp,
+    )
+    .unwrap();
+    let retrain_cfg = GpConfig {
+        train_iters: settings.refit_iters,
+        warm_tol: f64::NEG_INFINITY,
+        ..settings.gp.clone()
+    };
+    c.bench_function("append_forced_retrain_n64_plus8", |b| {
+        b.iter(|| {
+            let mut gp = loop_fitted.clone();
+            gp.append(
+                black_box(&xs[ARCHIVE_N..]),
+                black_box(&ys[ARCHIVE_N..]),
+                &retrain_cfg,
             )
             .unwrap();
             black_box(gp)

@@ -11,7 +11,7 @@
 
 use kato::RunHistory;
 use std::fs;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Budget/seed profile for one experiment binary.
@@ -171,7 +171,9 @@ pub fn print_series(
 }
 
 /// Writes rows to `results/<name>` (best-effort; failures are reported but
-/// non-fatal so experiments still print to stdout).
+/// non-fatal so experiments still print to stdout). The first failed write
+/// is warned about and ends the file; `[written …]` is printed only when
+/// every row made it.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     let dir = Path::new("results");
     if let Err(e) = fs::create_dir_all(dir) {
@@ -179,16 +181,24 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
         return;
     }
     let path = dir.join(name);
-    match fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = writeln!(f, "{header}");
-            for r in rows {
-                let _ = writeln!(f, "{r}");
-            }
-            println!("  [written {}]", path.display());
-        }
+    match fs::File::create(&path).and_then(|mut f| write_rows(&mut f, header, rows)) {
+        Ok(()) => println!("  [written {}]", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
+}
+
+/// Writes `header` and then each row, one per line, stopping at the first
+/// error.
+///
+/// # Errors
+///
+/// The first error `out` returns.
+pub fn write_rows(out: &mut impl Write, header: &str, rows: &[String]) -> io::Result<()> {
+    writeln!(out, "{header}")?;
+    for r in rows {
+        writeln!(out, "{r}")?;
+    }
+    Ok(())
 }
 
 /// Formats a metrics row like the paper's Tables 1–2.
@@ -280,6 +290,58 @@ mod tests {
         assert!(!Profile::quick().full);
         assert!(Profile::full().full);
         assert!(Profile::full().seeds.len() > Profile::quick().seeds.len());
+    }
+
+    /// Accepts `budget` bytes, then fails every write and counts them.
+    struct FailingWriter {
+        budget: usize,
+        written: Vec<u8>,
+        failed_writes: usize,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.written.len() + buf.len() > self.budget {
+                self.failed_writes += 1;
+                return Err(io::Error::other("disk full"));
+            }
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_rows_writes_header_then_rows() {
+        let mut out = Vec::new();
+        write_rows(&mut out, "a,b", &["1,2".to_string(), "3,4".to_string()]).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), "a,b\n1,2\n3,4\n");
+    }
+
+    #[test]
+    fn write_rows_stops_at_the_first_error() {
+        let rows: Vec<String> = (0..5).map(|i| format!("{i},{i}")).collect();
+        // Room for the header and one row only.
+        let mut out = FailingWriter {
+            budget: "a,b\n0,0\n".len(),
+            written: Vec::new(),
+            failed_writes: 0,
+        };
+        let err = write_rows(&mut out, "a,b", &rows).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(out.written, b"a,b\n0,0\n");
+        assert_eq!(out.failed_writes, 1, "kept writing after the first error");
+
+        let mut broken = FailingWriter {
+            budget: 0,
+            written: Vec::new(),
+            failed_writes: 0,
+        };
+        assert!(write_rows(&mut broken, "a,b", &rows).is_err());
+        assert_eq!(broken.failed_writes, 1);
     }
 
     #[test]

@@ -1,5 +1,6 @@
+use crate::kernels::{ExactKernel, LikelihoodGrad};
 use crate::{GpError, KernelSpec, Scaler};
-use kato_autodiff::{clip_gradients, Adam, Tape};
+use kato_autodiff::{clip_gradients, Adam};
 use kato_linalg::{CholeskyFactor, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -14,7 +15,8 @@ pub struct GpConfig {
     pub lr: f64,
     /// Maximum number of points used for *hyperparameter* optimisation
     /// (the posterior still conditions on every point). Caps the `O(n²)`
-    /// tape cost on large archives.
+    /// kernel-gradient and `O(n³)` factorisation cost per training step on
+    /// large archives.
     pub fit_subsample: usize,
     /// RNG seed for parameter initialisation and subsampling.
     pub seed: u64,
@@ -189,8 +191,6 @@ impl Gp {
                 what: "row width != kernel input dim",
             });
         }
-        let n = self.xs.len();
-        let k = x_new.len();
         // Frozen scalers: standardise the batch with the held statistics.
         let xs_new: Vec<Vec<f64>> = x_new.iter().map(|r| self.x_scaler.transform(r)).collect();
         let ys_new: Vec<f64> = y_new
@@ -199,20 +199,13 @@ impl Gp {
             .collect();
 
         // Rank-k factor extension. Blocks are built with the same kernel
-        // evaluation orientation as `gram` (first argument = earlier point)
-        // so the extended factor is bitwise what a from-scratch
-        // factorisation at the held jitter would produce.
+        // evaluation orientation as the Gram matrix (first argument =
+        // earlier point) so the extended factor is bitwise what a
+        // from-scratch factorisation at the held jitter would produce.
         let noise = self.noise_variance().max(1e-10) + 1e-9;
-        let cross = Matrix::from_fn(k, n, |p, j| {
-            self.kernel.eval(&self.params, &self.xs[j], &xs_new[p])
-        });
-        let mut corner = Matrix::from_fn(k, k, |p, q| {
-            if p <= q {
-                self.kernel.eval(&self.params, &xs_new[p], &xs_new[q])
-            } else {
-                self.kernel.eval(&self.params, &xs_new[q], &xs_new[p])
-            }
-        });
+        let kernel = ExactKernel::new(&self.kernel, &self.params);
+        let cross = kernel.cross(&self.xs, &xs_new);
+        let mut corner = kernel.gram(&xs_new);
         corner.add_diagonal(noise);
 
         let extended = self.chol.extend(&cross, &corner).is_ok();
@@ -318,28 +311,16 @@ impl Gp {
         &self.ys
     }
 
-    /// Builds the noisy Gram matrix at the current hyperparameters over the
-    /// given (standardised) points.
-    fn gram(&self, pts: &[Vec<f64>]) -> Matrix {
-        let n = pts.len();
-        let noise = self.noise_variance().max(1e-10);
-        let mut k = Matrix::from_fn(n, n, |i, j| {
-            if i <= j {
-                self.kernel.eval(&self.params, &pts[i], &pts[j])
-            } else {
-                0.0
-            }
-        });
-        for i in 0..n {
-            for j in 0..i {
-                k[(i, j)] = k[(j, i)];
-            }
-        }
-        k.add_diagonal(noise + 1e-9);
-        k
-    }
-
-    /// Adam MLE loop using the B-matrix adjoint trick.
+    /// Adam MLE loop over the (subsampled) training set.
+    ///
+    /// Each step builds the noisy Gram matrix, factors it, and forms the
+    /// likelihood gradient with the B-matrix adjoint trick: every Gram
+    /// entry `K_ij` is seeded with `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij` and one
+    /// reverse sweep of the kernel ([`LikelihoodGrad`]) accumulates the
+    /// gradient of every kernel hyperparameter. That sweep is hand-written
+    /// and allocation-free, and equals the reverse sweep of an autodiff
+    /// tape over the same Gram entries bit for bit, so training
+    /// trajectories are those the taped formulation produces.
     fn train(&mut self, config: &GpConfig) -> Result<(), GpError> {
         let n_total = self.xs.len();
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
@@ -359,10 +340,13 @@ impl Gp {
         let n_params = self.params.len() + 1; // + log_noise
         let mut opt = Adam::new(n_params, config.lr);
         let mut best = (f64::NEG_INFINITY, self.params.clone(), self.log_noise);
+        let mut pass = LikelihoodGrad::default();
+        let mut k = Matrix::zeros(n, n);
 
         for _ in 0..config.train_iters {
             // 1. Plain-f64 Gram, Cholesky, alpha, inverse.
-            let k = self.gram(&pts);
+            pass.forward(&self.kernel, &self.params, &pts, &mut k);
+            k.add_diagonal(self.noise_variance().max(1e-10) + 1e-9);
             let Ok(chol) = CholeskyFactor::new(&k) else {
                 // Escalate noise and keep going.
                 self.log_noise += 0.5;
@@ -377,29 +361,25 @@ impl Gp {
                 best = (log_lik, self.params.clone(), self.log_noise);
             }
 
-            // 2. Adjoint seeds: ∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij.
-            // 3. Tape with one node per upper-triangle Gram entry.
-            let tape = Tape::with_capacity(n * n * 40);
-            let p_vars: Vec<_> = self.params.iter().map(|&p| tape.var(p)).collect();
-            let x_vars: Vec<Vec<_>> = pts
-                .iter()
-                .map(|r| r.iter().map(|&v| tape.constant(v)).collect())
-                .collect();
-            let mut seeds = Vec::with_capacity(n * (n + 1) / 2);
-            for i in 0..n {
-                for j in i..n {
-                    let k_ij = self.kernel.eval(&p_vars, &x_vars[i], &x_vars[j]);
+            // 2. Adjoint seeds ∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij over the upper
+            //    triangle (off-diagonal entries stand for both K_ij, K_ji).
+            // 3. One reverse sweep of the kernel.
+            let mut g = vec![0.0; n_params];
+            pass.backward(
+                |i, j| {
                     let b_ij = alpha[i] * alpha[j] - kinv[(i, j)];
-                    let seed = if i == j { 0.5 * b_ij } else { b_ij };
-                    seeds.push((k_ij, seed));
-                }
-            }
-            let grads = tape.backward_seeded(&seeds);
-            let mut g: Vec<f64> = p_vars.iter().map(|v| grads.wrt(*v)).collect();
+                    if i == j {
+                        0.5 * b_ij
+                    } else {
+                        b_ij
+                    }
+                },
+                &mut g[..self.params.len()],
+            );
             // Noise gradient: ∂L/∂σ² = ½tr(B); chain to log-noise.
             let tr_b: f64 = (0..n).map(|i| alpha[i] * alpha[i] - kinv[(i, i)]).sum();
             let noise = self.noise_variance();
-            g.push(0.5 * tr_b * 2.0 * noise);
+            g[n_params - 1] = 0.5 * tr_b * 2.0 * noise;
 
             // 4. Ascend.
             for gi in g.iter_mut() {
@@ -429,8 +409,10 @@ impl Gp {
     /// hyperparameters, escalating noise if the Gram matrix resists
     /// factorisation.
     fn condition(&mut self) -> Result<(), GpError> {
+        let gram = ExactKernel::new(&self.kernel, &self.params).gram(&self.xs);
         for _ in 0..6 {
-            let k = self.gram(&self.xs);
+            let mut k = gram.clone();
+            k.add_diagonal(self.noise_variance().max(1e-10) + 1e-9);
             match CholeskyFactor::new(&k) {
                 Ok(chol) => {
                     self.alpha = chol.solve(&self.ys);
@@ -784,8 +766,8 @@ mod tests {
     #[test]
     fn mle_gradient_matches_finite_difference() {
         // Validate the B-matrix trick end to end on a tiny problem: compare
-        // dL/dθ from the tape against numeric differentiation of the exact
-        // log-likelihood.
+        // dL/dθ from the training pass against numeric differentiation of
+        // the exact log-likelihood.
         let xs = [vec![0.0], vec![0.4], vec![1.0]];
         let ys = vec![0.1, 0.9, -0.3];
         let kernel = KernelSpec::ard_rbf(1);
@@ -802,28 +784,26 @@ mod tests {
                 - 1.5 * (2.0 * std::f64::consts::PI).ln()
         };
 
-        // Analytic gradient via B-matrix seeds.
-        let mut k = Matrix::from_fn(3, 3, |i, j| kernel.eval(&params, &xs[i], &xs[j]));
+        // Analytic gradient via B-matrix seeds and the training pass.
+        let mut k = Matrix::zeros(3, 3);
+        let mut pass = LikelihoodGrad::default();
+        pass.forward(&kernel, &params, &xs, &mut k);
         k.add_diagonal(noise2);
         let chol = CholeskyFactor::new(&k).unwrap();
         let alpha = chol.solve(&ys);
         let kinv = chol.inverse();
-        let tape = Tape::new();
-        let p_vars: Vec<_> = params.iter().map(|&p| tape.var(p)).collect();
-        let x_vars: Vec<Vec<_>> = xs
-            .iter()
-            .map(|r| r.iter().map(|&v| tape.constant(v)).collect())
-            .collect();
-        let mut seeds = Vec::new();
-        for i in 0..3 {
-            for j in i..3 {
-                let kij = kernel.eval(&p_vars, &x_vars[i], &x_vars[j]);
+        let mut analytic = vec![0.0; params.len()];
+        pass.backward(
+            |i, j| {
                 let b = alpha[i] * alpha[j] - kinv[(i, j)];
-                seeds.push((kij, if i == j { 0.5 * b } else { b }));
-            }
-        }
-        let grads = tape.backward_seeded(&seeds);
-        let analytic = grads.wrt_slice(&p_vars);
+                if i == j {
+                    0.5 * b
+                } else {
+                    b
+                }
+            },
+            &mut analytic,
+        );
         let check = kato_autodiff::check_gradient(loglik, &params, &analytic, 1e-6);
         assert!(check.passes(1e-5), "{check:?}");
     }

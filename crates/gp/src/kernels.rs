@@ -1,4 +1,5 @@
 use kato_autodiff::Scalar;
+use kato_linalg::Matrix;
 use rand::Rng;
 
 /// Primitive kernel used inside a Neural Kernel unit (paper Fig. 1a lists
@@ -409,7 +410,7 @@ impl PreparedKernel {
 
 /// Plain-`f64` primitive kernel with pre-exponentiated shape parameter.
 fn prim_eval_f64(prim: PrimitiveKernel, shape: f64, a: &[f64], b: &[f64]) -> f64 {
-    let r2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+    let r2 = sq_dist(a, b);
     match prim {
         PrimitiveKernel::Rbf => (-r2).exp(),
         PrimitiveKernel::RationalQuadratic => (-(shape * (1.0 + r2 / (shape * 2.0)).ln())).exp(),
@@ -448,13 +449,7 @@ impl NeukSpec {
             offset += n_int;
             prims.push((prim, shape));
             for (x, feats) in pts.iter().zip(proj.iter_mut()) {
-                for l in 0..self.latent_dim {
-                    let mut s = bias[l];
-                    for i in 0..self.input_dim {
-                        s += w[l * self.input_dim + i] * x[i];
-                    }
-                    feats.push(s);
-                }
+                project(w, bias, x, feats);
             }
         }
         let wz = &params[offset..offset + self.mix_dim * n_prims];
@@ -481,10 +476,682 @@ impl NeukSpec {
     }
 }
 
+/// One Neuk primitive's parameter-only quantities, hoisted out of the pair
+/// loop.
+#[derive(Debug, Clone, Copy)]
+struct HoistedPrim {
+    prim: PrimitiveKernel,
+    /// Index of the primitive's first projection weight in the parameter
+    /// vector: `latent × input` weights, row-major.
+    proj_at: usize,
+    /// Index of its first projection bias (`latent` of them).
+    bias_at: usize,
+    /// Index of its shape parameter (RQ's `log α`, the periodic `log p`).
+    shape_at: usize,
+    /// `α` (RQ) or the period (periodic), exp'd once.
+    shape: f64,
+    /// The per-pair divisor: `α·2` (RQ) or the period (periodic).
+    den: f64,
+    /// `1/den`, the quotient's partial in its numerator.
+    inv_den: f64,
+    /// `den·den`, the denominator of the quotient's partial in `den`.
+    den_sq: f64,
+    /// Offset of the primitive's cached per-pair values in a pair slot.
+    slot_at: usize,
+}
+
+/// A softplus mixing weight `ln(e^w + 1)` with the two factors of its
+/// derivative.
+#[derive(Debug, Clone, Copy)]
+struct Softplus {
+    value: f64,
+    exp: f64,
+    /// `1/(e^w + 1)`.
+    inv: f64,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    Ard {
+        amp: f64,
+    },
+    Neuk {
+        latent: usize,
+        mix_dim: usize,
+        mix_at: usize,
+    },
+}
+
+/// Hyperparameter-hoisted evaluator of [`KernelSpec::eval`] whose values
+/// are bit-for-bit those of the generic `f64` evaluation, plus the reverse
+/// sweep of the taped evaluation.
+///
+/// Unlike [`PreparedKernel`], nothing is re-associated: every entry is
+/// formed by the same operations in the same order as the generic code;
+/// only values that depend on the parameters alone (exp'd lengthscales and
+/// shapes, softplus weights) or on one point alone (Neuk projections) are
+/// computed once instead of once per pair. The reverse sweep
+/// ([`ExactKernel::backward`]) replays the adjoint arithmetic
+/// [`kato_autodiff::Tape::backward_seeded`] performs on the taped
+/// evaluation: node by node in reverse creation order, partials formed as
+/// the tape forms them (`adj·(1/v)`, never `adj/v`), and nodes with a zero
+/// adjoint skipped. Every gradient component therefore equals the tape's
+/// bit for bit.
+///
+/// A pair evaluation writes the values its reverse sweep needs into a
+/// *slot* of `slot_len` values: `k`, then `h_p` per primitive, then each
+/// primitive's extras (RQ: `ln(1 + r²/2α)`; periodic: one `sin` per latent
+/// dimension; Matérn: `exp(−√5 r)`). ARD slots hold `k` and `exp(−s)`.
+#[derive(Debug)]
+pub(crate) struct ExactKernel {
+    family: Family,
+    input: usize,
+    params: Vec<f64>,
+    /// ARD: `(ℓ_i, ℓ_i²)` per input dimension.
+    ard: Vec<(f64, f64)>,
+    prims: Vec<HoistedPrim>,
+    /// Neuk mixing weights, row-major `[mix row][primitive]`.
+    mix: Vec<Softplus>,
+    slot_len: usize,
+}
+
+impl Default for ExactKernel {
+    fn default() -> Self {
+        ExactKernel {
+            family: Family::Ard { amp: 1.0 },
+            input: 0,
+            params: Vec::new(),
+            ard: Vec::new(),
+            prims: Vec::new(),
+            mix: Vec::new(),
+            slot_len: 0,
+        }
+    }
+}
+
+// The reverse sweep multiplies by the tape's partial `-1.0` rather than
+// negating: unlike `-x`, `x * -1.0` leaves a NaN adjoint's bits as the
+// tape's multiply leaves them.
+#[allow(clippy::neg_multiply)]
+impl ExactKernel {
+    pub(crate) fn new(spec: &KernelSpec, params: &[f64]) -> Self {
+        let mut k = ExactKernel::default();
+        k.reset(spec, params);
+        k
+    }
+
+    /// Re-hoists for new parameters, reusing the buffers.
+    fn reset(&mut self, spec: &KernelSpec, params: &[f64]) {
+        debug_assert_eq!(params.len(), spec.param_count(), "kernel param mismatch");
+        self.input = spec.input_dim();
+        self.params.clear();
+        self.params.extend_from_slice(params);
+        self.ard.clear();
+        self.prims.clear();
+        self.mix.clear();
+        match spec {
+            KernelSpec::ArdRbf { dim } => {
+                self.ard.extend(params[1..=*dim].iter().map(|p| {
+                    let ls = p.exp();
+                    (ls, ls * ls)
+                }));
+                self.family = Family::Ard {
+                    amp: params[0].exp(),
+                };
+                self.slot_len = 2;
+            }
+            KernelSpec::Neuk(neuk) => {
+                let latent = neuk.latent_dim;
+                let n_prims = neuk.primitives.len();
+                let mut at = 0;
+                let mut slot_at = 1 + n_prims;
+                for &prim in &neuk.primitives {
+                    let proj_at = at;
+                    let bias_at = at + latent * self.input;
+                    at = bias_at + latent;
+                    let shape_at = at;
+                    at += prim.internal_param_count();
+                    let shape = if prim.internal_param_count() > 0 {
+                        params[shape_at].exp()
+                    } else {
+                        0.0
+                    };
+                    let (den, extras) = match prim {
+                        PrimitiveKernel::Rbf => (1.0, 0),
+                        PrimitiveKernel::RationalQuadratic => (shape * 2.0, 1),
+                        PrimitiveKernel::Periodic => (shape, latent),
+                        PrimitiveKernel::Matern52 => (1.0, 1),
+                    };
+                    self.prims.push(HoistedPrim {
+                        prim,
+                        proj_at,
+                        bias_at,
+                        shape_at,
+                        shape,
+                        den,
+                        inv_den: 1.0 / den,
+                        den_sq: den * den,
+                        slot_at,
+                    });
+                    slot_at += extras;
+                }
+                self.mix
+                    .extend(params[at..at + neuk.mix_dim * n_prims].iter().map(|w| {
+                        let exp = w.exp();
+                        let sum = exp + 1.0;
+                        Softplus {
+                            value: sum.ln(),
+                            exp,
+                            inv: 1.0 / sum,
+                        }
+                    }));
+                self.family = Family::Neuk {
+                    latent,
+                    mix_dim: neuk.mix_dim,
+                    mix_at: at,
+                };
+                self.slot_len = slot_at;
+            }
+        }
+    }
+
+    /// Per-point feature width: the input itself for ARD, the projections
+    /// `[primitive][latent]` for Neuk.
+    fn feat_len(&self) -> usize {
+        match self.family {
+            Family::Ard { .. } => self.input,
+            Family::Neuk { latent, .. } => self.prims.len() * latent,
+        }
+    }
+
+    /// Appends the features of every point to `out` (cleared first).
+    fn features(&self, pts: &[Vec<f64>], out: &mut Vec<f64>) {
+        out.clear();
+        match self.family {
+            Family::Ard { .. } => {
+                for x in pts {
+                    out.extend_from_slice(x);
+                }
+            }
+            Family::Neuk { .. } => {
+                for x in pts {
+                    for hp in &self.prims {
+                        let w = &self.params[hp.proj_at..hp.bias_at];
+                        let bias = &self.params[hp.bias_at..hp.shape_at];
+                        project(w, bias, x, out);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `k(a, b)` from the two points' features, filling `slot`.
+    fn eval(&self, fa: &[f64], fb: &[f64], slot: &mut [f64]) -> f64 {
+        match self.family {
+            Family::Ard { amp } => {
+                let mut s = 0.0;
+                for (i, &(ls, _)) in self.ard.iter().enumerate() {
+                    let d = (fa[i] - fb[i]) / ls;
+                    s += d * d;
+                }
+                let ex = (-s).exp();
+                slot[1] = ex;
+                slot[0] = amp * ex;
+            }
+            Family::Neuk {
+                latent,
+                mix_dim,
+                mix_at,
+            } => {
+                let n_prims = self.prims.len();
+                for (p, hp) in self.prims.iter().enumerate() {
+                    let a = &fa[p * latent..(p + 1) * latent];
+                    let b = &fb[p * latent..(p + 1) * latent];
+                    let r2 = sq_dist(a, b);
+                    slot[1 + p] = match hp.prim {
+                        PrimitiveKernel::Rbf => (-r2).exp(),
+                        PrimitiveKernel::RationalQuadratic => {
+                            let inner = (1.0 + r2 / hp.den).ln();
+                            slot[hp.slot_at] = inner;
+                            (-(hp.shape * inner)).exp()
+                        }
+                        PrimitiveKernel::Periodic => {
+                            let mut s = 0.0;
+                            for l in 0..latent {
+                                let sv = ((a[l] - b[l]) * std::f64::consts::PI / hp.den).sin();
+                                slot[hp.slot_at + l] = sv;
+                                s += sv * sv;
+                            }
+                            (-(s * 2.0)).exp()
+                        }
+                        PrimitiveKernel::Matern52 => {
+                            let r = (r2 + 1e-12).sqrt();
+                            let sq5r = r * 5.0_f64.sqrt();
+                            let poly = 1.0 + sq5r + r2 * (5.0 / 3.0);
+                            let ex = (-sq5r).exp();
+                            slot[hp.slot_at] = ex;
+                            poly * ex
+                        }
+                    };
+                }
+                let mut total = self.params[mix_at + mix_dim * n_prims + mix_dim];
+                for j in 0..mix_dim {
+                    let mut z = self.params[mix_at + mix_dim * n_prims + j];
+                    for (i, h) in slot[1..=n_prims].iter().enumerate() {
+                        z += self.mix[j * n_prims + i].value * h;
+                    }
+                    total += z;
+                }
+                slot[0] = total.exp();
+            }
+        }
+        slot[0]
+    }
+
+    /// Adds `seed · ∂k(a, b)/∂params` to `grad` exactly as the tape's
+    /// reverse sweep over one taped `eval(params, a, b)` with that output
+    /// seed would: `xa`/`xb` are the raw points, `fa`/`fb` their features
+    /// and `slot` the one [`ExactKernel::eval`] filled for the pair.
+    fn backward(
+        &self,
+        (xa, fa): (&[f64], &[f64]),
+        (xb, fb): (&[f64], &[f64]),
+        slot: &[f64],
+        seed: f64,
+        grad: &mut [f64],
+    ) {
+        // The seed lands on the output's zero adjoint.
+        let adj_k = 0.0 + seed;
+        if adj_k == 0.0 {
+            return;
+        }
+        match self.family {
+            Family::Ard { amp } => self.ard_backward(amp, xa, xb, slot, adj_k, grad),
+            Family::Neuk {
+                latent,
+                mix_dim,
+                mix_at,
+            } => {
+                // k = exp(total). Every addition of the mixing layer passes
+                // the total's adjoint through unchanged.
+                let adj = adj_k * slot[0];
+                if adj == 0.0 {
+                    return;
+                }
+                let n_prims = self.prims.len();
+                let bz_at = mix_at + mix_dim * n_prims;
+                for j in (0..mix_dim).rev() {
+                    for i in (0..n_prims).rev() {
+                        // softplus(w)·h_i, then ln(e^w + 1), e^w + 1, e^w.
+                        let adj_sp = adj * slot[1 + i];
+                        if adj_sp != 0.0 {
+                            let m = self.mix[j * n_prims + i];
+                            let adj_sum = adj_sp * m.inv;
+                            if adj_sum != 0.0 {
+                                grad[mix_at + j * n_prims + i] += adj_sum * m.exp;
+                            }
+                        }
+                    }
+                    grad[bz_at + j] += adj;
+                }
+                grad[bz_at + mix_dim] += adj;
+                for (p, hp) in self.prims.iter().enumerate().rev() {
+                    // h_p feeds one product per mixing row, last row first.
+                    let mut adj_h = 0.0;
+                    for j in (0..mix_dim).rev() {
+                        adj_h += adj * self.mix[j * n_prims + p].value;
+                    }
+                    if adj_h != 0.0 {
+                        let span = p * latent..(p + 1) * latent;
+                        let pair = (xa, &fa[span.clone()], xb, &fb[span]);
+                        self.prim_backward(hp, pair, slot, slot[1 + p], adj_h, grad);
+                    }
+                }
+            }
+        }
+    }
+
+    fn ard_backward(
+        &self,
+        amp: f64,
+        xa: &[f64],
+        xb: &[f64],
+        slot: &[f64],
+        adj_k: f64,
+        grad: &mut [f64],
+    ) {
+        // k = amp · exp(−s), s = Σ ((a_i − b_i)/ℓ_i)².
+        let ex = slot[1];
+        let adj_amp = adj_k * ex;
+        let adj_ex = adj_k * amp;
+        if adj_ex != 0.0 {
+            let adj_neg = adj_ex * ex;
+            if adj_neg != 0.0 {
+                let adj_s = adj_neg * -1.0;
+                for (i, &(ls, ls_sq)) in self.ard.iter().enumerate().rev() {
+                    let sub = xa[i] - xb[i];
+                    let d = sub / ls;
+                    let mut adj_d = 0.0;
+                    adj_d += adj_s * d;
+                    adj_d += adj_s * d;
+                    if adj_d != 0.0 {
+                        let adj_ls = adj_d * (-sub / ls_sq);
+                        if adj_ls != 0.0 {
+                            grad[1 + i] += adj_ls * ls;
+                        }
+                    }
+                }
+            }
+        }
+        if adj_amp != 0.0 {
+            grad[0] += adj_amp * amp;
+        }
+    }
+
+    /// Reverse sweep of one primitive, output `h`, from its adjoint `adj_h`;
+    /// `a`/`b` are the pair's projections for this primitive.
+    fn prim_backward(
+        &self,
+        hp: &HoistedPrim,
+        (xa, a, xb, b): (&[f64], &[f64], &[f64], &[f64]),
+        slot: &[f64],
+        h: f64,
+        adj_h: f64,
+        grad: &mut [f64],
+    ) {
+        let latent = a.len();
+        let project = |grad: &mut [f64], l: usize, adj_sub: f64| {
+            self.projection_backward(hp, l, adj_sub, xa, xb, grad);
+        };
+        // r² = Σ (a_l − b_l)²: each difference receives its adjoint twice.
+        let r2_backward = |grad: &mut [f64], adj_r2: f64| {
+            if adj_r2 == 0.0 {
+                return;
+            }
+            for l in (0..latent).rev() {
+                let d = a[l] - b[l];
+                let mut adj_sub = 0.0;
+                adj_sub += adj_r2 * d;
+                adj_sub += adj_r2 * d;
+                project(grad, l, adj_sub);
+            }
+        };
+        match hp.prim {
+            PrimitiveKernel::Rbf => {
+                // h = exp(−r²)
+                let adj_neg = adj_h * h;
+                if adj_neg != 0.0 {
+                    r2_backward(grad, adj_neg * -1.0);
+                }
+            }
+            PrimitiveKernel::RationalQuadratic => {
+                // h = exp(−(α·ln(1 + r²/(α·2))))
+                let adj_neg = adj_h * h;
+                if adj_neg == 0.0 {
+                    return;
+                }
+                let inner = slot[hp.slot_at];
+                let adj_m = adj_neg * -1.0;
+                let mut adj_alpha = 0.0;
+                adj_alpha += adj_m * inner;
+                let adj_inner = adj_m * hp.shape;
+                let mut adj_r2 = 0.0;
+                if adj_inner != 0.0 {
+                    let r2 = sq_dist(a, b);
+                    let adj_sum = adj_inner * (1.0 / (1.0 + r2 / hp.den));
+                    if adj_sum != 0.0 {
+                        adj_r2 += adj_sum * hp.inv_den;
+                        let adj_den = adj_sum * (-r2 / hp.den_sq);
+                        if adj_den != 0.0 {
+                            adj_alpha += adj_den * 2.0;
+                        }
+                    }
+                }
+                if adj_alpha != 0.0 {
+                    grad[hp.shape_at] += adj_alpha * hp.shape;
+                }
+                r2_backward(grad, adj_r2);
+            }
+            PrimitiveKernel::Periodic => {
+                // h = exp(−(Σ sin²((a_l − b_l)·π/p)·2))
+                let adj_neg = adj_h * h;
+                if adj_neg == 0.0 {
+                    return;
+                }
+                let adj_s = adj_neg * -1.0 * 2.0;
+                let mut adj_period = 0.0;
+                for l in (0..latent).rev() {
+                    let sv = slot[hp.slot_at + l];
+                    let mut adj_sv = 0.0;
+                    adj_sv += adj_s * sv;
+                    adj_sv += adj_s * sv;
+                    if adj_sv == 0.0 {
+                        continue;
+                    }
+                    let t = (a[l] - b[l]) * std::f64::consts::PI;
+                    let adj_arg = adj_sv * (t / hp.den).cos();
+                    if adj_arg == 0.0 {
+                        continue;
+                    }
+                    let adj_t = adj_arg * hp.inv_den;
+                    adj_period += adj_arg * (-t / hp.den_sq);
+                    if adj_t != 0.0 {
+                        project(grad, l, adj_t * std::f64::consts::PI);
+                    }
+                }
+                if adj_period != 0.0 {
+                    grad[hp.shape_at] += adj_period * hp.shape;
+                }
+            }
+            PrimitiveKernel::Matern52 => {
+                // h = poly·ex, poly = (1 + √5r) + r²·5/3, ex = exp(−√5r),
+                // r = √(r² + 1e-12)
+                let ex = slot[hp.slot_at];
+                let r2 = sq_dist(a, b);
+                let r = (r2 + 1e-12).sqrt();
+                let sq5r = r * 5.0_f64.sqrt();
+                let poly = 1.0 + sq5r + r2 * (5.0 / 3.0);
+                let adj_poly = adj_h * ex;
+                let adj_ex = adj_h * poly;
+                let mut adj_sq5r = 0.0;
+                let mut adj_r2 = 0.0;
+                if adj_ex != 0.0 {
+                    let adj_neg = adj_ex * ex;
+                    if adj_neg != 0.0 {
+                        adj_sq5r += adj_neg * -1.0;
+                    }
+                }
+                if adj_poly != 0.0 {
+                    adj_r2 += adj_poly * (5.0 / 3.0);
+                    adj_sq5r += adj_poly;
+                }
+                if adj_sq5r != 0.0 {
+                    let adj_r = adj_sq5r * 5.0_f64.sqrt();
+                    if adj_r != 0.0 {
+                        let adj_e = adj_r * (0.5 / r);
+                        if adj_e != 0.0 {
+                            adj_r2 += adj_e;
+                        }
+                    }
+                }
+                r2_backward(grad, adj_r2);
+            }
+        }
+    }
+
+    /// Pushes the adjoint of one latent difference `a_l − b_l` down both
+    /// projection chains `bias_l + Σ_i W_li·x_i`: the `b` chain was taped
+    /// after the `a` chain, so each weight and the bias hear from `b`
+    /// first.
+    fn projection_backward(
+        &self,
+        hp: &HoistedPrim,
+        l: usize,
+        adj_sub: f64,
+        xa: &[f64],
+        xb: &[f64],
+        grad: &mut [f64],
+    ) {
+        if adj_sub == 0.0 {
+            return;
+        }
+        let (ga, gb) = (adj_sub, adj_sub * -1.0);
+        let d = self.input;
+        let w = &mut grad[hp.proj_at + l * d..hp.proj_at + (l + 1) * d];
+        for ((g, &va), &vb) in w.iter_mut().zip(xa).zip(xb) {
+            *g += gb * vb;
+            *g += ga * va;
+        }
+        grad[hp.bias_at + l] += gb;
+        grad[hp.bias_at + l] += ga;
+    }
+
+    /// The noiseless Gram matrix over `pts`, bitwise
+    /// `KernelSpec::eval(params, pts[i], pts[j])` for `i ≤ j`, mirrored.
+    pub(crate) fn gram(&self, pts: &[Vec<f64>]) -> Matrix {
+        let mut feats = Vec::new();
+        self.features(pts, &mut feats);
+        let mut gram = Matrix::zeros(pts.len(), pts.len());
+        let mut slot = vec![0.0; self.slot_len];
+        self.fill_gram(&feats, &mut gram, &mut slot, false);
+        gram
+    }
+
+    /// The `later.len() × earlier.len()` block whose entry `(p, j)` is
+    /// `KernelSpec::eval(params, earlier[j], later[p])` bitwise — each pair
+    /// oriented as the Gram of `earlier ++ later` orients it.
+    pub(crate) fn cross(&self, earlier: &[Vec<f64>], later: &[Vec<f64>]) -> Matrix {
+        let (mut fe, mut fl) = (Vec::new(), Vec::new());
+        self.features(earlier, &mut fe);
+        self.features(later, &mut fl);
+        let fd = self.feat_len();
+        let mut slot = vec![0.0; self.slot_len];
+        Matrix::from_fn(later.len(), earlier.len(), |p, j| {
+            self.eval(
+                &fe[j * fd..(j + 1) * fd],
+                &fl[p * fd..(p + 1) * fd],
+                &mut slot,
+            )
+        })
+    }
+
+    /// Fills both triangles of `gram` from the upper one, in row-major pair
+    /// order; `per_pair` advances through `slots` one slot per pair,
+    /// otherwise every pair reuses the first.
+    fn fill_gram(&self, feats: &[f64], gram: &mut Matrix, slots: &mut [f64], per_pair: bool) {
+        let n = gram.rows();
+        let (fd, s) = (self.feat_len(), self.slot_len);
+        let mut at = 0;
+        for i in 0..n {
+            for j in i..n {
+                let fa = &feats[i * fd..(i + 1) * fd];
+                let fb = &feats[j * fd..(j + 1) * fd];
+                let v = self.eval(fa, fb, &mut slots[at..at + s]);
+                gram[(i, j)] = v;
+                gram[(j, i)] = v;
+                if per_pair {
+                    at += s;
+                }
+            }
+        }
+    }
+}
+
+/// Appends one Neuk projection of `x`, `bias_l + Σ_i w_li·x_i` for each
+/// latent row `l` of the row-major `w`, summed left to right as
+/// [`NeukSpec::eval`] sums it.
+fn project(w: &[f64], bias: &[f64], x: &[f64], out: &mut Vec<f64>) {
+    for (l, &b) in bias.iter().enumerate() {
+        let mut s = b;
+        for (wi, xi) in w[l * x.len()..(l + 1) * x.len()].iter().zip(x) {
+            s += wi * xi;
+        }
+        out.push(s);
+    }
+}
+
+/// `Σ_l (a_l − b_l)²`, summed left to right as [`PrimitiveKernel::eval`]
+/// sums it.
+fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    let mut r2 = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        let d = x - y;
+        r2 += d * d;
+    }
+    r2
+}
+
+/// The marginal-likelihood gradient pass of [`crate::Gp`] training: a
+/// forward sweep fills the Gram matrix and caches each pair's slot, a
+/// reverse sweep accumulates `Σ_ij seed_ij·∂K_ij/∂params` in exactly the
+/// order the tape's `backward_seeded` would over the pairs `(i, j ≥ i)`
+/// taped row by row — so each component equals the tape's bit for bit.
+/// Its buffers are reused from one Adam iteration to the next.
+#[derive(Debug, Default)]
+pub(crate) struct LikelihoodGrad {
+    kernel: ExactKernel,
+    n: usize,
+    /// Raw points, flattened.
+    xs: Vec<f64>,
+    feats: Vec<f64>,
+    slots: Vec<f64>,
+}
+
+impl LikelihoodGrad {
+    /// Fills `gram` (`pts.len()` square, both triangles, no noise) at
+    /// `params`, caching what [`LikelihoodGrad::backward`] needs.
+    pub(crate) fn forward(
+        &mut self,
+        spec: &KernelSpec,
+        params: &[f64],
+        pts: &[Vec<f64>],
+        gram: &mut Matrix,
+    ) {
+        debug_assert_eq!(gram.rows(), pts.len());
+        self.kernel.reset(spec, params);
+        self.n = pts.len();
+        self.xs.clear();
+        for x in pts {
+            self.xs.extend_from_slice(x);
+        }
+        self.kernel.features(pts, &mut self.feats);
+        let pairs = self.n * (self.n + 1) / 2;
+        self.slots.resize(pairs * self.kernel.slot_len, 0.0);
+        self.kernel
+            .fill_gram(&self.feats, gram, &mut self.slots, true);
+    }
+
+    /// Adds `Σ_{i ≤ j} seed(i, j)·∂K_ij/∂params` (at the parameters of
+    /// the last [`LikelihoodGrad::forward`]) to `grad`.
+    pub(crate) fn backward(&self, seed: impl Fn(usize, usize) -> f64, grad: &mut [f64]) {
+        let k = &self.kernel;
+        let (d, fd, s) = (k.input, k.feat_len(), k.slot_len);
+        let point = |i: usize| {
+            (
+                &self.xs[i * d..(i + 1) * d],
+                &self.feats[i * fd..(i + 1) * fd],
+            )
+        };
+        let mut at = self.slots.len();
+        for i in (0..self.n).rev() {
+            for j in (i..self.n).rev() {
+                at -= s;
+                k.backward(
+                    point(i),
+                    point(j),
+                    &self.slots[at..at + s],
+                    seed(i, j),
+                    grad,
+                );
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kato_linalg::{CholeskyFactor, Matrix};
+    use kato_linalg::CholeskyFactor;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -497,6 +1164,238 @@ mod tests {
         (0..n)
             .map(|_| (0..d).map(|_| rng.gen_range(-2.0..2.0)).collect())
             .collect()
+    }
+
+    /// The reference: every upper-triangle Gram entry taped row by row as
+    /// `KernelSpec::eval` on `Var`s, each seeded, one `backward_seeded`.
+    fn taped(
+        spec: &KernelSpec,
+        params: &[f64],
+        pts: &[Vec<f64>],
+        seed: &dyn Fn(usize, usize) -> f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        use kato_autodiff::Tape;
+        let tape = Tape::new();
+        let p_vars: Vec<_> = params.iter().map(|&v| tape.var(v)).collect();
+        let x_vars: Vec<Vec<_>> = pts
+            .iter()
+            .map(|r| r.iter().map(|&v| tape.constant(v)).collect())
+            .collect();
+        let mut seeds = Vec::new();
+        for i in 0..pts.len() {
+            for j in i..pts.len() {
+                seeds.push((spec.eval(&p_vars, &x_vars[i], &x_vars[j]), seed(i, j)));
+            }
+        }
+        let grads = tape.backward_seeded(&seeds);
+        let values = seeds.iter().map(|(k, _)| k.value()).collect();
+        (values, grads.wrt_slice(&p_vars))
+    }
+
+    fn assert_pass_matches_tape(
+        spec: &KernelSpec,
+        params: &[f64],
+        pts: &[Vec<f64>],
+        seed: &dyn Fn(usize, usize) -> f64,
+        pass: &mut LikelihoodGrad,
+        what: &str,
+    ) {
+        let n = pts.len();
+        let (values, want) = taped(spec, params, pts, seed);
+        let mut gram = Matrix::zeros(n, n);
+        pass.forward(spec, params, pts, &mut gram);
+        let mut got = vec![0.0; params.len()];
+        pass.backward(seed, &mut got);
+        let mut at = 0;
+        for i in 0..n {
+            for j in i..n {
+                let generic = spec.eval(params, &pts[i], &pts[j]);
+                assert_eq!(
+                    values[at].to_bits(),
+                    generic.to_bits(),
+                    "{what}: tape value ({i},{j})"
+                );
+                assert_eq!(
+                    gram[(i, j)].to_bits(),
+                    generic.to_bits(),
+                    "{what}: K[{i}][{j}]"
+                );
+                assert_eq!(
+                    gram[(j, i)].to_bits(),
+                    generic.to_bits(),
+                    "{what}: K[{j}][{i}]"
+                );
+                at += 1;
+            }
+        }
+        for (p, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: ∂/∂θ[{p}] pass {g:e} vs tape {w:e}"
+            );
+        }
+    }
+
+    fn equivalence_specs() -> Vec<KernelSpec> {
+        vec![
+            KernelSpec::ard_rbf(3),
+            KernelSpec::neuk(3),
+            KernelSpec::Neuk(NeukSpec {
+                input_dim: 3,
+                latent_dim: 2,
+                primitives: vec![
+                    PrimitiveKernel::Rbf,
+                    PrimitiveKernel::RationalQuadratic,
+                    PrimitiveKernel::Periodic,
+                    PrimitiveKernel::Matern52,
+                ],
+                mix_dim: 3,
+            }),
+        ]
+    }
+
+    /// Parameter vectors from the initialiser out to both ends of the ±8
+    /// training clamp.
+    fn equivalence_params(spec: &KernelSpec, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let m = spec.param_count();
+        vec![
+            spec.init_params(&mut rng),
+            (0..m).map(|_| rng.gen_range(-8.0..=8.0)).collect(),
+            (0..m).map(|_| rng.gen_range(-1.5..1.5)).collect(),
+            (0..m)
+                .map(|p| if p % 2 == 0 { 8.0 } else { -8.0 })
+                .collect(),
+            vec![8.0; m],
+            vec![-8.0; m],
+        ]
+    }
+
+    /// Seven points with duplicated rows and signed zeros.
+    fn equivalence_points(seed: u64) -> Vec<Vec<f64>> {
+        let mut pts = random_points(5, 3, seed);
+        pts.push(pts[1].clone());
+        pts.insert(3, pts[0].clone());
+        pts[2][1] = 0.0;
+        pts[4][2] = -0.0;
+        pts
+    }
+
+    /// Seeds over the pairs: mostly spread values, with exact `0.0` and
+    /// `-0.0` mixed in (skipped pairs).
+    fn equivalence_seed(salt: u64) -> impl Fn(usize, usize) -> f64 {
+        move |i, j| match (i * 5 + j * 3 + salt as usize) % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            r => (r as f64 - 3.7) * (1.0 + (i * j) as f64 * 0.173),
+        }
+    }
+
+    #[test]
+    fn likelihood_pass_matches_tape_bitwise() {
+        for (s, spec) in equivalence_specs().iter().enumerate() {
+            // One pass reused across every case, as across Adam iterations.
+            let mut pass = LikelihoodGrad::default();
+            for (c, params) in equivalence_params(spec, 80 + s as u64).iter().enumerate() {
+                let pts = equivalence_points(90 + c as u64);
+                let seed = equivalence_seed(c as u64);
+                let what = format!("spec {s} params {c}");
+                assert_pass_matches_tape(spec, params, &pts, &seed, &mut pass, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn likelihood_pass_matches_tape_on_gp_seeds() {
+        // Seeds as training forms them, ½(ααᵀ − K⁻¹), on a duplicate-heavy
+        // set. The projection biases only ever see a difference of two
+        // projections, so their gradient is zero in exact arithmetic; on
+        // the tape each pair adds −c then +c to an accumulator that starts
+        // at +0.0, which cancels exactly, and the pass must land on the
+        // same +0.0 rather than on a residue or −0.0.
+        let pts: Vec<Vec<f64>> = [0.1, 0.1, -0.4, 0.7, 0.7, 0.7, 1.3]
+            .iter()
+            .map(|&v| vec![v, 0.5 - v, v * v])
+            .collect();
+        let ys = [0.3, 0.2, -1.0, 0.8, 0.9, 0.7, -0.2];
+        for (s, spec) in equivalence_specs().iter().enumerate() {
+            let params = spec.init_params(&mut SmallRng::seed_from_u64(s as u64));
+            let mut k = gram(spec, &params, &pts);
+            k.add_diagonal(0.05);
+            let chol = CholeskyFactor::new(&k).unwrap();
+            let alpha = chol.solve(&ys);
+            let kinv = chol.inverse();
+            let seed = |i: usize, j: usize| {
+                let b = alpha[i] * alpha[j] - kinv[(i, j)];
+                if i == j {
+                    0.5 * b
+                } else {
+                    b
+                }
+            };
+            let mut pass = LikelihoodGrad::default();
+            assert_pass_matches_tape(spec, &params, &pts, &seed, &mut pass, &format!("spec {s}"));
+            let KernelSpec::Neuk(neuk) = spec else {
+                continue;
+            };
+            let mut grad = vec![0.0; params.len()];
+            pass.backward(seed, &mut grad);
+            assert!(
+                grad.iter().any(|&g| g != 0.0),
+                "spec {s}: no gradient at all"
+            );
+            let mut at = 0;
+            for prim in &neuk.primitives {
+                at += neuk.latent_dim * neuk.input_dim;
+                for g in &grad[at..at + neuk.latent_dim] {
+                    assert_eq!(
+                        g.to_bits(),
+                        0.0_f64.to_bits(),
+                        "spec {s}: bias gradient {g:e}"
+                    );
+                }
+                at += neuk.latent_dim + prim.internal_param_count();
+            }
+        }
+    }
+
+    #[test]
+    fn exact_gram_and_cross_match_generic_eval_bitwise() {
+        for (s, spec) in equivalence_specs().iter().enumerate() {
+            for (c, params) in equivalence_params(spec, 20 + s as u64).iter().enumerate() {
+                let earlier = equivalence_points(30 + c as u64);
+                let later = random_points(3, 3, 40 + c as u64);
+                let kernel = ExactKernel::new(spec, params);
+                let g = kernel.gram(&later);
+                for (p, a) in later.iter().enumerate() {
+                    for (q, b) in later.iter().enumerate() {
+                        let want = if p <= q {
+                            spec.eval(params, a, b)
+                        } else {
+                            spec.eval(params, b, a)
+                        };
+                        assert_eq!(
+                            g[(p, q)].to_bits(),
+                            want.to_bits(),
+                            "spec {s}/{c} gram ({p},{q})"
+                        );
+                    }
+                }
+                let x = kernel.cross(&earlier, &later);
+                assert_eq!((x.rows(), x.cols()), (later.len(), earlier.len()));
+                for (p, b) in later.iter().enumerate() {
+                    for (j, a) in earlier.iter().enumerate() {
+                        let want = spec.eval(params, a, b);
+                        assert_eq!(
+                            x[(p, j)].to_bits(),
+                            want.to_bits(),
+                            "spec {s}/{c} cross ({p},{j})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

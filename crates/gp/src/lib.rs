@@ -12,9 +12,14 @@
 //!   covariance. See [`NeukSpec`].
 //! * **Exact MLE training** (Eq. 3): [`Gp::fit`] maximises the marginal
 //!   likelihood with Adam. Gradients are exact — each Gram entry `K_ij` is
-//!   built once on a [`kato_autodiff::Tape`] and seeded with its adjoint
-//!   `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij`, so a single backward pass yields the
-//!   gradient for every hyperparameter ("B-matrix trick").
+//!   seeded with its adjoint `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij`, so a single
+//!   reverse sweep over the kernel yields the gradient for every
+//!   hyperparameter ("B-matrix trick"). The sweep is written by hand for
+//!   ARD-RBF and every Neuk primitive, hoists everything that depends on
+//!   one point or on the parameters alone out of the pair loop, and equals
+//!   the reverse sweep of a [`kato_autodiff::Tape`] over
+//!   [`KernelSpec::eval`] bit for bit; the tape itself now serves KAT-GP's
+//!   alignment training.
 //! * **KAT-GP**, paper §3.2 (Eq. 11–12): a frozen source GP wrapped in a
 //!   trainable encoder (target design space → source design space) and
 //!   decoder (source output → target output), with Delta-method moment
