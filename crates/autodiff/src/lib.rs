@@ -1,6 +1,7 @@
 #![warn(missing_docs)]
 
-//! Tape-based reverse-mode automatic differentiation.
+//! Tape-based reverse-mode automatic differentiation — the test reference
+//! for the hand-written gradients of `kato-gp`.
 //!
 //! The KATO paper trains its Neural Kernel (Neuk) and the encoder/decoder of
 //! KAT-GP by gradient ascent on Gaussian-process log-likelihoods (paper
@@ -8,22 +9,24 @@
 //! is the from-scratch substitute: a classic Wengert-list (tape) reverse-mode
 //! AD over `f64` scalars.
 //!
+//! `kato-gp` records no tape at run time. It trains plain GPs
+//! and KAT-GP with hand-written replays of the tape's reverse sweep that
+//! equal it bit for bit, and depends on this crate only in its tests,
+//! where the tape is the reference those replays are checked against.
+//!
 //! Key pieces:
 //!
-//! * [`Tape`] — arena of operations; cleared and rebuilt every optimisation
-//!   step.
+//! * [`Tape`] — arena of operations; cleared and rebuilt every evaluation.
 //! * [`Var`] — a copyable handle (value + node index) with full operator
 //!   overloading.
-//! * [`Scalar`] — a trait implemented by both `f64` and [`Var`], so kernel
-//!   and network code in `kato-gp` is written once and used for both fast
-//!   inference (plain `f64`) and training (taped).
-//! * [`Adam`] — the stochastic optimiser used for all MLE fits.
+//! * [`Scalar`] — a trait implemented by both `f64` and [`Var`], so the
+//!   generic reference kernels and networks of `kato-gp` evaluate both
+//!   plainly and taped.
 //! * [`Tape::backward_seeded`] — multi-output backward pass for the GP
 //!   "B-matrix" gradient trick, where each Gram-matrix entry gets its own
 //!   adjoint seed `∂L/∂K_ij` and one sweep yields `∂L/∂θ` for every
-//!   hyperparameter. `kato-gp` trains plain GPs with a hand-written
-//!   replay of this sweep that equals it bit for bit, and keeps the tape
-//!   as that replay's test reference and for KAT-GP training.
+//!   hyperparameter.
+//! * [`check_gradient`] — central finite differences for gradient tests.
 //!
 //! # Example
 //!
@@ -41,11 +44,9 @@
 //! ```
 
 mod check;
-mod optim;
 mod scalar;
 mod tape;
 
 pub use check::{check_gradient, GradientCheck};
-pub use optim::{clip_gradients, Adam};
 pub use scalar::{lift_slice, Scalar};
 pub use tape::{Grads, Tape, Var};

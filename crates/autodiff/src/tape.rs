@@ -55,15 +55,6 @@ impl Tape {
         }
     }
 
-    /// Creates an empty tape with room for `cap` nodes (avoids reallocation
-    /// in the hot GP-training loop).
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Tape {
-            nodes: RefCell::new(Vec::with_capacity(cap)),
-        }
-    }
-
     /// Number of recorded nodes.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -1,6 +1,6 @@
 use crate::kernels::{ExactKernel, LikelihoodGrad};
+use crate::optim::{clip_gradients, Adam};
 use crate::{GpError, KernelSpec, Scaler};
-use kato_autodiff::{clip_gradients, Adam};
 use kato_linalg::{CholeskyFactor, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -496,14 +496,18 @@ impl Gp {
             self.kernel.input_dim(),
             "predict: dimension mismatch"
         );
-        let n = self.xs.len();
-        let mut kvec = Vec::with_capacity(n);
-        for xi in &self.xs {
-            kvec.push(self.kernel.eval(&self.params, x_std, xi));
-        }
+        let kernel = ExactKernel::new(&self.kernel, &self.params);
+        let (mut fx, mut feats) = (Vec::new(), Vec::new());
+        kernel.point_features(x_std, &mut fx);
+        kernel.features(&self.xs, &mut feats);
+        let mut slot = vec![0.0; kernel.slot_len()];
+        let kvec: Vec<f64> = feats
+            .chunks_exact(kernel.feat_len())
+            .map(|fi| kernel.eval(&fx, fi, &mut slot))
+            .collect();
         let mean = kato_linalg::dot(&kvec, &self.alpha);
         let w = self.chol.forward_sub(&kvec);
-        let k_xx = self.kernel.eval(&self.params, x_std, x_std);
+        let k_xx = kernel.eval(&fx, &fx, &mut slot);
         let var = (k_xx - kato_linalg::dot(&w, &w)).max(1e-12);
         (mean, var)
     }
@@ -536,6 +540,31 @@ mod tests {
         let (_, v_in) = gp.predict(&[0.5]);
         let (_, v_out) = gp.predict(&[3.0]);
         assert!(v_out > v_in * 2.0, "v_in={v_in} v_out={v_out}");
+    }
+
+    #[test]
+    fn predict_std_matches_generic_kernel_vector_bitwise() {
+        // The hoisted evaluator behind predict_std against the generic
+        // kernel, query first, on ARD and Neuk fits.
+        let (xs, ys) = sine_data(12);
+        for kernel in [KernelSpec::ard_rbf(1), KernelSpec::neuk(1)] {
+            let gp = Gp::fit(kernel, &xs, &ys, &GpConfig::fast()).unwrap();
+            for q in [-0.3, 0.0, 0.41, 1.7] {
+                let x = [q];
+                let kvec: Vec<f64> = gp
+                    .xs
+                    .iter()
+                    .map(|xi| gp.kernel.eval(&gp.params, &x, xi))
+                    .collect();
+                let w = gp.chol.forward_sub(&kvec);
+                let k_xx = gp.kernel.eval(&gp.params, &x, &x);
+                let var = (k_xx - kato_linalg::dot(&w, &w)).max(1e-12);
+                let mean = kato_linalg::dot(&kvec, &gp.alpha);
+                let (m, v) = gp.predict_std(&x);
+                assert_eq!(m.to_bits(), mean.to_bits(), "mean at {q}");
+                assert_eq!(v.to_bits(), var.to_bits(), "variance at {q}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,8 @@
+use crate::kernels::ExactKernel;
+use crate::optim::{clip_gradients, Adam};
 use crate::{Gp, GpError, KernelSpec, MlpSpec, Scaler};
-use kato_autodiff::{clip_gradients, Adam, Scalar, Tape};
+#[cfg(test)]
+use kato_autodiff::Scalar;
 use kato_linalg::CholeskyFactor;
 use kato_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -13,8 +16,9 @@ pub struct KatConfig {
     pub train_iters: usize,
     /// Adam learning rate.
     pub lr: f64,
-    /// Maximum source points carried into the transfer model (caps the
-    /// `O(m²)` tape cost of the predictive variance).
+    /// Maximum source points carried into the transfer model. Training
+    /// costs `O(m²)` per target point and step (the forward substitution
+    /// of the predictive variance and its reverse), so this caps it.
     pub source_subsample: usize,
     /// Maximum target points used per training iteration.
     pub target_subsample: usize,
@@ -137,8 +141,88 @@ impl ScalarMlp {
         p
     }
 
-    /// Returns `(D(x), D'(x))`.
-    fn forward<S: Scalar>(&self, params: &[S], x: S) -> (S, S) {
+    /// Returns `(D(x), D'(x))`, leaving the hidden activations in `hidden`.
+    fn forward(&self, params: &[f64], x: f64, hidden: &mut Vec<f64>) -> (f64, f64) {
+        let h = self.hidden;
+        let (w1, rest) = params.split_at(h);
+        let (b1, rest) = rest.split_at(h);
+        let (w2, b2) = rest.split_at(h);
+        hidden.clear();
+        let mut y = b2[0];
+        let mut dy = 0.0;
+        for k in 0..h {
+            let s = 1.0 / (1.0 + (-(w1[k] * x + b1[k])).exp());
+            y += w2[k] * s;
+            dy += w2[k] * s * (1.0 - s) * w1[k];
+            hidden.push(s);
+        }
+        (y, dy)
+    }
+
+    /// Adds to `grad` the gradient of `adj_y·D(x) + adj_dy·D'(x)` exactly
+    /// as the tape's reverse sweep over one taped forward pass would, and
+    /// returns the adjoint `x` receives. `hidden` is what
+    /// [`ScalarMlp::forward`] left at `x`.
+    ///
+    /// Each hidden unit `k`, last first, was taped as `a = w1·x + b1`,
+    /// `s = σ(a)`, `y += w2·s`, then `dy += ((w2·s)·(1 − s))·w1`; its nodes
+    /// are swept in the reverse of that order.
+    #[allow(clippy::neg_multiply)]
+    fn backward(
+        &self,
+        params: &[f64],
+        x: f64,
+        hidden: &[f64],
+        (adj_y, adj_dy): (f64, f64),
+        grad: &mut [f64],
+    ) -> f64 {
+        let h = self.hidden;
+        let (w1, rest) = params.split_at(h);
+        let w2 = &rest[h..2 * h];
+        let mut adj_x = 0.0;
+        for k in (0..h).rev() {
+            let s = hidden[k];
+            let mut adj_s = 0.0;
+            if adj_dy != 0.0 {
+                let m1 = w2[k] * s;
+                let d = 1.0 - s;
+                let m2 = m1 * d;
+                let adj_m2 = adj_dy * w1[k];
+                grad[k] += adj_dy * m2;
+                if adj_m2 != 0.0 {
+                    let adj_m1 = adj_m2 * d;
+                    let adj_d = adj_m2 * m1;
+                    if adj_d != 0.0 {
+                        adj_s += adj_d * -1.0;
+                    }
+                    if adj_m1 != 0.0 {
+                        grad[2 * h + k] += adj_m1 * s;
+                        adj_s += adj_m1 * w2[k];
+                    }
+                }
+            }
+            if adj_y != 0.0 {
+                if k == 0 {
+                    grad[3 * h] += adj_y;
+                }
+                grad[2 * h + k] += adj_y * s;
+                adj_s += adj_y * w2[k];
+            }
+            if adj_s != 0.0 {
+                let adj_a = adj_s * (s * (1.0 - s));
+                if adj_a != 0.0 {
+                    grad[h + k] += adj_a;
+                    grad[k] += adj_a * x;
+                    adj_x += adj_a * w1[k];
+                }
+            }
+        }
+        adj_x
+    }
+
+    /// The generic forward pass, the test reference for the reverse sweep.
+    #[cfg(test)]
+    fn forward_scalar<S: Scalar>(&self, params: &[S], x: S) -> (S, S) {
         debug_assert_eq!(params.len(), self.param_count());
         let h = self.hidden;
         let (w1, rest) = params.split_at(h);
@@ -170,9 +254,12 @@ impl ScalarMlp {
 /// never altered — the knowledge stays in the source GP, only the
 /// *alignment* is learned.
 ///
-/// Following DESIGN.md, the source GP's kernel hyperparameters and Gram
-/// inverse are held fixed during alignment training (alternating
-/// optimisation) rather than differentiating through the source Cholesky.
+/// The source GP's kernel hyperparameters and Gram factor are held fixed
+/// during alignment training (alternating optimisation) rather than
+/// differentiated through. The Eq. 12 gradient is a hand-written reverse
+/// sweep of encoder, source posterior, decoder and likelihood that equals
+/// the sweep of an autodiff tape over the same computation bit for bit,
+/// so training records no tape.
 #[derive(Debug, Clone)]
 pub struct KatGp {
     // Frozen source model (subsampled).
@@ -181,6 +268,10 @@ pub struct KatGp {
     xs_src: Vec<Vec<f64>>,
     alpha_src: Vec<f64>,
     chol_src: CholeskyFactor,
+    /// The source kernel hoisted at its frozen parameters.
+    src_kernel: ExactKernel,
+    /// Kernel features of `xs_src`, flattened.
+    src_feats: Vec<f64>,
     // Trainable alignment.
     encoder: MlpSpec,
     enc_params: Vec<f64>,
@@ -244,7 +335,10 @@ impl KatGp {
         let m = xs_src.len();
         let kp = source.kernel_params().to_vec();
         let kernel = source.kernel().clone();
-        let mut gram = Matrix::from_fn(m, m, |i, j| kernel.eval(&kp, &xs_src[i], &xs_src[j]));
+        let src_kernel = ExactKernel::new(&kernel, &kp);
+        let mut src_feats = Vec::new();
+        src_kernel.features(&xs_src, &mut src_feats);
+        let mut gram = source_gram(&src_kernel, &src_feats, m);
         gram.add_diagonal(source.noise_variance().max(1e-8) + 1e-9);
         let chol_src = CholeskyFactor::new(&gram)?;
         let alpha_src = chol_src.solve(&ys_src);
@@ -258,6 +352,8 @@ impl KatGp {
             xs_src,
             alpha_src,
             chol_src,
+            src_kernel,
+            src_feats,
             encoder,
             enc_params: Vec::new(),
             decoder,
@@ -434,10 +530,11 @@ impl KatGp {
         }
         let sigma2 = (self.log_noise * 2.0).exp();
         let mut total = 0.0;
+        let mut point = PointPass::default();
         for (x, &y) in self.xt.iter().zip(&self.yt) {
             let x_std = self.x_scaler.transform(x);
             let y_std = self.y_scaler.transform_scalar(y, 0);
-            let (mu, v) = self.predictive::<f64>(&self.enc_params, &self.dec_params, &x_std);
+            let (mu, v) = self.forward(&x_std, &mut point);
             let var_total = v + sigma2;
             let resid = mu - y_std;
             total += -0.5 * (var_total * 2.0 * std::f64::consts::PI).ln()
@@ -476,13 +573,73 @@ impl KatGp {
         self.xs_src.len()
     }
 
-    /// Generic predictive pipeline in standardised target coordinates.
-    /// Returns `(µ_t_std, σ²_t_std)` **without** observation noise.
-    fn predictive<S: Scalar>(&self, enc_params: &[S], dec_params: &[S], x_t_std: &[S]) -> (S, S) {
-        let ctx = x_t_std[0];
+    /// Eq. 11 predictive moments `(µ_t, σ²_t)` in standardised target
+    /// coordinates, **without** observation noise, leaving in `point` what
+    /// the reverse sweep of [`KatLikelihoodGrad`] reads. Every value is
+    /// formed by the same operations, in the same order, as the generic
+    /// (test-reference) predictive forms it, so it is bitwise that value.
+    fn forward(&self, x_t_std: &[f64], point: &mut PointPass) -> (f64, f64) {
+        let kernel = &self.src_kernel;
+        let (fd, sl) = (kernel.feat_len(), kernel.slot_len());
+        let m = self.xs_src.len();
         // Encode into the source design space.
-        let u = self.encoder.forward(enc_params, x_t_std);
+        self.encoder
+            .forward_into(&self.enc_params, x_t_std, &mut point.acts);
+        let u = &point.acts[point.acts.len() - self.encoder.output_dim()..];
+        point.fu.clear();
+        kernel.point_features(u, &mut point.fu);
         // Source GP posterior at E(x): k-vector, mean, variance.
+        point.slots.resize((m + 1) * sl, 0.0);
+        point.kvec.clear();
+        let pairs = self
+            .src_feats
+            .chunks_exact(fd)
+            .zip(point.slots.chunks_exact_mut(sl));
+        for (fs, slot) in pairs {
+            point.kvec.push(kernel.eval(&point.fu, fs, slot));
+        }
+        let mut mu_s = 0.0;
+        for (k, a) in point.kvec.iter().zip(&self.alpha_src) {
+            mu_s += k * a;
+        }
+        // v_s = k(u,u) − ‖L⁻¹k‖² by forward substitution.
+        let l = self.chol_src.l();
+        point.w.clear();
+        for i in 0..m {
+            let row = l.row(i);
+            let mut s = point.kvec[i];
+            for (wj, lij) in point.w.iter().zip(row) {
+                s -= wj * lij;
+            }
+            point.w.push(s / row[i]);
+        }
+        let mut wsq = 0.0;
+        for wi in &point.w {
+            wsq += wi * wi;
+        }
+        let k_uu = kernel.eval(&point.fu, &point.fu, &mut point.slots[m * sl..]);
+        point.v_diff = k_uu - wsq;
+        point.v_s = point.v_diff.max(1e-10);
+        // Decode with the Delta method (Eq. 11).
+        point.mu_s = mu_s;
+        let (mu_t, jac) = self
+            .decoder
+            .forward(&self.dec_params, mu_s, &mut point.dec_hidden);
+        point.jac = jac;
+        (mu_t, jac * jac * point.v_s)
+    }
+
+    /// The generic predictive pipeline, the test reference for
+    /// [`KatGp::forward`] and (taped) for [`KatLikelihoodGrad`].
+    #[cfg(test)]
+    fn predictive_scalar<S: Scalar>(
+        &self,
+        enc_params: &[S],
+        dec_params: &[S],
+        x_t_std: &[S],
+    ) -> (S, S) {
+        let ctx = x_t_std[0];
+        let u = self.encoder.forward_scalar(enc_params, x_t_std);
         let kp: Vec<S> = self.kernel_params.iter().map(|&p| ctx.lift(p)).collect();
         let m = self.xs_src.len();
         let mut kvec = Vec::with_capacity(m);
@@ -494,7 +651,6 @@ impl KatGp {
         for (k, &a) in kvec.iter().zip(&self.alpha_src) {
             mu_s = mu_s + *k * a;
         }
-        // v_s = k(u,u) − ‖L⁻¹k‖² via a taped forward substitution.
         let l = self.chol_src.l();
         let mut w: Vec<S> = Vec::with_capacity(m);
         for i in 0..m {
@@ -510,8 +666,7 @@ impl KatGp {
         }
         let k_uu = self.kernel.eval(&kp, &u, &u);
         let v_s = (k_uu - wsq).max_val(ctx.lift(1e-10));
-        // Decode with the Delta method (Eq. 11).
-        let (mu_t, jac) = self.decoder.forward(dec_params, mu_s);
+        let (mu_t, jac) = self.decoder.forward_scalar(dec_params, mu_s);
         let v_t = jac * jac * v_s;
         (mu_t, v_t)
     }
@@ -544,40 +699,19 @@ impl KatGp {
             self.dec_params.clone(),
             self.log_noise,
         );
+        let mut pass = KatLikelihoodGrad::new(self);
+        let mut g = vec![0.0; n_params];
 
         for _ in 0..config.train_iters {
-            let tape = Tape::with_capacity(idx.len() * self.xs_src.len() * 60);
-            let enc_vars: Vec<_> = self.enc_params.iter().map(|&p| tape.var(p)).collect();
-            let dec_vars: Vec<_> = self.dec_params.iter().map(|&p| tape.var(p)).collect();
-            let noise_var = tape.var(self.log_noise);
-            let sigma2 = (noise_var * 2.0).exp();
-
-            let mut total = tape.constant(0.0);
-            for &i in &idx {
-                let x_vars: Vec<_> = xs_std[i].iter().map(|&v| tape.constant(v)).collect();
-                let (mu, v) = self.predictive(&enc_vars, &dec_vars, &x_vars);
-                let var_total = v + sigma2;
-                let resid = mu - ys_std[i];
-                let ll = -(var_total * (2.0 * std::f64::consts::PI)).ln() * 0.5
-                    - resid * resid / (var_total * 2.0);
-                total = total + ll;
-            }
-            let ll_val = total.value();
+            let ll_val = pass.run(self, &xs_std, &ys_std, &idx, &mut g);
             if ll_val.is_finite() && ll_val > best.0 {
                 best = (
                     ll_val,
-                    enc_vars.iter().map(|v| v.value()).collect(),
-                    dec_vars.iter().map(|v| v.value()).collect(),
+                    self.enc_params.clone(),
+                    self.dec_params.clone(),
                     self.log_noise,
                 );
             }
-            let grads = tape.backward(total);
-            let mut g: Vec<f64> = enc_vars
-                .iter()
-                .chain(&dec_vars)
-                .map(|v| grads.wrt(*v))
-                .chain(std::iter::once(grads.wrt(noise_var)))
-                .collect();
             for gi in g.iter_mut() {
                 *gi = -*gi; // ascend
             }
@@ -664,7 +798,7 @@ impl KatGp {
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), self.target_dim, "KAT predict: dimension mismatch");
         let x_std = self.x_scaler.transform(x);
-        let (m, v) = self.predictive::<f64>(&self.enc_params, &self.dec_params, &x_std);
+        let (m, v) = self.forward(&x_std, &mut PointPass::default());
         let s = self.y_scaler.scale(0);
         (self.y_scaler.inverse_scalar(m, 0), (v * s * s).max(1e-12))
     }
@@ -706,6 +840,7 @@ impl KatGp {
         let kmat = Matrix::from_fn(m, encoded.len(), |i, j| kvecs[j][i]);
         let w = self.chol_src.forward_sub_matrix(&kmat);
         let s = self.y_scaler.scale(0);
+        let mut hidden = Vec::new();
         idx.iter()
             .map(|&j| {
                 let mu_s = kato_linalg::dot(&kvecs[j], &self.alpha_src);
@@ -714,7 +849,7 @@ impl KatGp {
                     wsq += w[(i, j)] * w[(i, j)];
                 }
                 let v_s = (query.eval(j, &query, j) - wsq).max(1e-10);
-                let (mu_t, jac) = self.decoder.forward(&self.dec_params, mu_s);
+                let (mu_t, jac) = self.decoder.forward(&self.dec_params, mu_s, &mut hidden);
                 let v_t = jac * jac * v_s;
                 (
                     self.y_scaler.inverse_scalar(mu_t, 0),
@@ -723,6 +858,251 @@ impl KatGp {
             })
             .collect()
     }
+}
+
+/// The frozen source's noiseless Gram matrix, every entry `(i, j)`
+/// evaluated in that orientation from the points' features.
+fn source_gram(kernel: &ExactKernel, feats: &[f64], m: usize) -> Matrix {
+    let fd = kernel.feat_len();
+    let mut slot = vec![0.0; kernel.slot_len()];
+    Matrix::from_fn(m, m, |i, j| {
+        kernel.eval(
+            &feats[i * fd..(i + 1) * fd],
+            &feats[j * fd..(j + 1) * fd],
+            &mut slot,
+        )
+    })
+}
+
+/// What [`KatGp::forward`] leaves of one target point for the reverse
+/// sweep; reused from point to point.
+#[derive(Debug, Default)]
+struct PointPass {
+    /// Encoder activations: the input, the hidden layer, `u = E(x)` last.
+    acts: Vec<f64>,
+    /// Kernel features of `u`.
+    fu: Vec<f64>,
+    /// One kernel slot per source pair `k(u, x_s)`, then `k(u, u)`'s.
+    slots: Vec<f64>,
+    /// `k(u, x_s)` per source point.
+    kvec: Vec<f64>,
+    /// `L⁻¹k` by forward substitution.
+    w: Vec<f64>,
+    /// `k(u, u) − ‖L⁻¹k‖²` before the `1e-10` floor.
+    v_diff: f64,
+    /// The floored source variance.
+    v_s: f64,
+    /// The source mean, the decoder's input.
+    mu_s: f64,
+    /// Decoder hidden activations and its input derivative `D'(µ_s)`.
+    dec_hidden: Vec<f64>,
+    jac: f64,
+}
+
+/// The Eq. 12 training pass of [`KatGp`]: the summed Gaussian
+/// log-likelihood of the target points and its gradient with respect to
+/// the encoder, the decoder and the log-noise, with no tape recorded.
+///
+/// Taped, the objective is built point after point as
+/// `total += ll(point)`, so the tape's sweep meets the points last to first
+/// and, within a point, each node in reverse creation order. This pass
+/// runs each point's forward sweep ([`KatGp::forward`]) and reverse sweep
+/// back to back, last point first, and forms every adjoint as the tape
+/// forms it: the same partials (`adj·(1/v)`, `x·-1.0` rather than `-x`),
+/// contributions to a shared value in the tape's order, and nodes with a
+/// zero adjoint skipped. The loss and every gradient component therefore
+/// equal the tape's bit for bit. The shared `σ² = exp(2·log_noise)` sums
+/// its adjoint over all points and hands it to the log-noise once, last.
+#[derive(Debug, Default)]
+struct KatLikelihoodGrad {
+    point: PointPass,
+    /// `1/L_ii` of the frozen source factor, the forward substitution's
+    /// partials.
+    inv_diag: Vec<f64>,
+    /// Per-point log-likelihoods, summed in point order at the end.
+    lls: Vec<f64>,
+    adj_u: Vec<f64>,
+    adj_k: Vec<f64>,
+    adj_w: Vec<f64>,
+    adj_acts: Vec<f64>,
+}
+
+// The reverse sweep multiplies by the tape's partial `-1.0` rather than
+// negating, as the kernel sweeps do.
+#[allow(clippy::neg_multiply)]
+impl KatLikelihoodGrad {
+    fn new(kat: &KatGp) -> Self {
+        let l = kat.chol_src.l();
+        KatLikelihoodGrad {
+            inv_diag: (0..l.rows()).map(|i| 1.0 / l[(i, i)]).collect(),
+            ..KatLikelihoodGrad::default()
+        }
+    }
+
+    /// The Eq. 12 objective over the standardised targets `idx` at the
+    /// current alignment of `kat`; its gradient, laid out as
+    /// `[encoder, decoder, log_noise]`, overwrites `grad`.
+    fn run(
+        &mut self,
+        kat: &KatGp,
+        xs_std: &[Vec<f64>],
+        ys_std: &[f64],
+        idx: &[usize],
+        grad: &mut [f64],
+    ) -> f64 {
+        grad.fill(0.0);
+        let sigma2 = (kat.log_noise * 2.0).exp();
+        let mut adj_sigma2 = 0.0;
+        self.lls.clear();
+        self.lls.resize(idx.len(), 0.0);
+        for (at, &i) in idx.iter().enumerate().rev() {
+            let (mu, v) = kat.forward(&xs_std[i], &mut self.point);
+            let var_total = v + sigma2;
+            let resid = mu - ys_std[i];
+            self.lls[at] = -(var_total * (2.0 * std::f64::consts::PI)).ln() * 0.5
+                - resid * resid / (var_total * 2.0);
+            let (adj_mu, adj_v) = ll_backward(var_total, resid);
+            if adj_v != 0.0 {
+                adj_sigma2 += adj_v;
+            }
+            self.point_backward(kat, (adj_mu, adj_v), grad);
+        }
+        // σ² = exp(log_noise·2)
+        if adj_sigma2 != 0.0 {
+            let adj_arg = adj_sigma2 * sigma2;
+            if adj_arg != 0.0 {
+                grad[grad.len() - 1] += adj_arg * 2.0;
+            }
+        }
+        let mut total = 0.0;
+        for ll in &self.lls {
+            total += ll;
+        }
+        total
+    }
+
+    /// Reverse sweep of one point's predictive from the adjoints of its
+    /// `(µ_t, σ²_t)`: decoder, source variance and mean, kernel vector,
+    /// encoder.
+    fn point_backward(&mut self, kat: &KatGp, (adj_mu_t, adj_v_t): (f64, f64), grad: &mut [f64]) {
+        let pt = &self.point;
+        let kernel = &kat.src_kernel;
+        let (fd, sl) = (kernel.feat_len(), kernel.slot_len());
+        let m = kat.xs_src.len();
+        let n_enc = kat.enc_params.len();
+        let (enc_grad, rest) = grad.split_at_mut(n_enc);
+        // v_t = (jac·jac)·v_s
+        let (mut adj_jj, mut adj_vs) = (0.0, 0.0);
+        if adj_v_t != 0.0 {
+            adj_jj = adj_v_t * pt.v_s;
+            adj_vs = adj_v_t * (pt.jac * pt.jac);
+        }
+        let mut adj_jac = 0.0;
+        if adj_jj != 0.0 {
+            adj_jac += adj_jj * pt.jac;
+            adj_jac += adj_jj * pt.jac;
+        }
+        let adj_mu_s = kat.decoder.backward(
+            &kat.dec_params,
+            pt.mu_s,
+            &pt.dec_hidden,
+            (adj_mu_t, adj_jac),
+            rest,
+        );
+        // v_s = max(k(u,u) − ‖w‖², 1e-10): the floor takes the adjoint.
+        let mut adj_diff = 0.0;
+        if adj_vs != 0.0 {
+            adj_diff = adj_vs * if pt.v_diff >= 1e-10 { 1.0 } else { 0.0 };
+        }
+        self.adj_u.clear();
+        self.adj_u.resize(kat.encoder.output_dim(), 0.0);
+        let mut adj_wsq = 0.0;
+        if adj_diff != 0.0 {
+            adj_wsq = adj_diff * -1.0;
+            let slot = &pt.slots[m * sl..];
+            kernel.backward_first((&pt.fu, &pt.fu), slot, adj_diff, true, &mut self.adj_u);
+        }
+        // ‖w‖² = Σ w_i·w_i
+        self.adj_w.clear();
+        self.adj_w.resize(m, 0.0);
+        if adj_wsq != 0.0 {
+            for (a, &wi) in self.adj_w.iter_mut().zip(&pt.w) {
+                *a += adj_wsq * wi;
+                *a += adj_wsq * wi;
+            }
+        }
+        // w = L⁻¹k: the forward substitution's reverse is a
+        // back-substitution, last row first. Row i's running sum carries
+        // one adjoint down to k_i and hands each earlier w_j its share.
+        self.adj_k.clear();
+        self.adj_k.resize(m, 0.0);
+        let l = kat.chol_src.l();
+        for i in (0..m).rev() {
+            if self.adj_w[i] == 0.0 {
+                continue;
+            }
+            let adj_s = self.adj_w[i] * self.inv_diag[i];
+            if adj_s == 0.0 {
+                continue;
+            }
+            let adj_sub = adj_s * -1.0;
+            let (done, _) = self.adj_w.split_at_mut(i);
+            for (a, lij) in done.iter_mut().zip(l.row(i)).rev() {
+                *a += adj_sub * lij;
+            }
+            self.adj_k[i] = adj_s;
+        }
+        // µ_s = Σ k_j·α_j
+        if adj_mu_s != 0.0 {
+            for (a, &alpha) in self.adj_k.iter_mut().zip(&kat.alpha_src) {
+                *a += adj_mu_s * alpha;
+            }
+        }
+        // k(u, x_s), last source point first, into u.
+        let pairs = kat
+            .src_feats
+            .chunks_exact(fd)
+            .zip(pt.slots.chunks_exact(sl));
+        for ((fs, slot), &adj) in pairs.zip(&self.adj_k).rev() {
+            kernel.backward_first((&pt.fu, fs), slot, adj, false, &mut self.adj_u);
+        }
+        kat.encoder.backward(
+            &kat.enc_params,
+            &pt.acts,
+            &self.adj_u,
+            enc_grad,
+            &mut self.adj_acts,
+        );
+    }
+}
+
+/// Reverse sweep of one Eq. 12 term, taped as
+/// `ll = −ln(v·2π)·0.5 − r·r/(v·2)` with `v = σ²_t + σ²` and `r = µ_t − y`
+/// and seeded `1.0`: returns the adjoints `(µ_t, v)`. `v`'s adjoint is
+/// also what `σ²_t` and the shared `σ²` each receive.
+fn ll_backward(var_total: f64, resid: f64) -> (f64, f64) {
+    let two_pi = 2.0 * std::f64::consts::PI;
+    let (v_2pi, r_sq, v_2) = (var_total * two_pi, resid * resid, var_total * 2.0);
+    // The quotient r_sq/v_2 is subtracted: it hears −1.0.
+    let adj_q = -1.0;
+    let adj_r_sq = adj_q * (1.0 / v_2);
+    let adj_v_2 = adj_q * (-r_sq / (v_2 * v_2));
+    let mut adj_v = 0.0;
+    if adj_v_2 != 0.0 {
+        adj_v += adj_v_2 * 2.0;
+    }
+    let mut adj_r = 0.0;
+    if adj_r_sq != 0.0 {
+        adj_r += adj_r_sq * resid;
+        adj_r += adj_r_sq * resid;
+    }
+    // −ln(v_2pi)·0.5: the log hears 0.5·−1.0.
+    let adj_ln = -0.5;
+    let adj_v_2pi = adj_ln * (1.0 / v_2pi);
+    if adj_v_2pi != 0.0 {
+        adj_v += adj_v_2pi * two_pi;
+    }
+    (adj_r, adj_v)
 }
 
 #[cfg(test)]
@@ -747,11 +1127,12 @@ mod tests {
         let mlp = ScalarMlp::new(8);
         let mut rng = StdRng::seed_from_u64(5);
         let params = mlp.init_params(&mut rng);
+        let hidden = &mut Vec::new();
         for &x in &[-1.0, 0.0, 0.7] {
-            let (_, dy) = mlp.forward(&params, x);
+            let (_, dy) = mlp.forward(&params, x, hidden);
             let h = 1e-6;
-            let (yp, _) = mlp.forward(&params, x + h);
-            let (ym, _) = mlp.forward(&params, x - h);
+            let (yp, _) = mlp.forward(&params, x + h, hidden);
+            let (ym, _) = mlp.forward(&params, x - h, hidden);
             let fd = (yp - ym) / (2.0 * h);
             assert!((dy - fd).abs() < 1e-6, "x={x}: {dy} vs {fd}");
         }
@@ -762,8 +1143,8 @@ mod tests {
         let mlp = ScalarMlp::new(32);
         let mut rng = StdRng::seed_from_u64(9);
         let params = mlp.init_near_identity(&mut rng);
-        let (y0, _) = mlp.forward(&params, 0.0);
-        let (y1, _) = mlp.forward(&params, 1.0);
+        let (y0, _) = mlp.forward(&params, 0.0, &mut Vec::new());
+        let (y1, _) = mlp.forward(&params, 1.0, &mut Vec::new());
         // Slope within a factor ~3 of identity is enough as a starting point.
         let slope = y1 - y0;
         assert!(slope > 0.2 && slope < 3.0, "slope {slope}");
@@ -1014,5 +1395,403 @@ mod tests {
         .unwrap();
         let (m, _) = kat.predict(&[0.5]);
         assert!(m.is_finite());
+    }
+
+    // ---- The hand-written Eq. 12 pass against the tape, bit for bit ----
+
+    use crate::{NeukSpec, PrimitiveKernel};
+    use kato_autodiff::Tape;
+    use rand::Rng;
+
+    fn equivalence_sources() -> Vec<KernelSpec> {
+        vec![
+            KernelSpec::ard_rbf(3),
+            KernelSpec::Neuk(NeukSpec::standard(3)),
+            KernelSpec::Neuk(NeukSpec {
+                input_dim: 3,
+                latent_dim: 2,
+                primitives: vec![
+                    PrimitiveKernel::Rbf,
+                    PrimitiveKernel::RationalQuadratic,
+                    PrimitiveKernel::Periodic,
+                    PrimitiveKernel::Matern52,
+                ],
+                mix_dim: 3,
+            }),
+        ]
+    }
+
+    fn random_rows(n: usize, d: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| (0..d).map(|_| rng.gen_range(-1.5..1.5)).collect())
+            .collect()
+    }
+
+    /// A 3-D source GP and a 2-D target aligned to it with one cheap step.
+    fn equivalence_kat(spec: &KernelSpec, seed: u64) -> (Gp, KatGp) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs = random_rows(14, 3, &mut rng);
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| (2.0 * x[0]).sin() + x[1] * x[2])
+            .collect();
+        let gp_cfg = GpConfig {
+            train_iters: 6,
+            ..GpConfig::fast()
+        };
+        let source = Gp::fit(spec.clone(), &xs, &ys, &gp_cfg).unwrap();
+        let x_t = random_rows(10, 2, &mut rng);
+        let y_t: Vec<f64> = x_t.iter().map(|x| 3.0 * x[0] - x[1]).collect();
+        let cfg = KatConfig {
+            train_iters: 1,
+            restarts: 1,
+            ..KatConfig::fast()
+        };
+        let kat = KatGp::fit(&source, &x_t, &y_t, &cfg).unwrap();
+        (source, kat)
+    }
+
+    /// The reference: the Eq. 12 objective over `idx`, taped node by node
+    /// through the generic predictive, and one reverse sweep.
+    fn taped_loss(
+        kat: &KatGp,
+        xs_std: &[Vec<f64>],
+        ys_std: &[f64],
+        idx: &[usize],
+    ) -> (f64, Vec<f64>) {
+        let tape = Tape::new();
+        let enc_vars: Vec<_> = kat.enc_params.iter().map(|&p| tape.var(p)).collect();
+        let dec_vars: Vec<_> = kat.dec_params.iter().map(|&p| tape.var(p)).collect();
+        let noise_var = tape.var(kat.log_noise);
+        let sigma2 = (noise_var * 2.0).exp();
+        let mut total = tape.constant(0.0);
+        for &i in idx {
+            let x_vars: Vec<_> = xs_std[i].iter().map(|&v| tape.constant(v)).collect();
+            let (mu, v) = kat.predictive_scalar(&enc_vars, &dec_vars, &x_vars);
+            let var_total = v + sigma2;
+            let resid = mu - ys_std[i];
+            let ll = -(var_total * (2.0 * std::f64::consts::PI)).ln() * 0.5
+                - resid * resid / (var_total * 2.0);
+            total = total + ll;
+        }
+        let grads = tape.backward(total);
+        let g = enc_vars
+            .iter()
+            .chain(&dec_vars)
+            .chain(std::iter::once(&noise_var))
+            .map(|v| grads.wrt(*v))
+            .collect();
+        (total.value(), g)
+    }
+
+    fn assert_pass_matches_tape(
+        kat: &KatGp,
+        xs_std: &[Vec<f64>],
+        ys_std: &[f64],
+        idx: &[usize],
+        what: &str,
+    ) {
+        let (want_ll, want) = taped_loss(kat, xs_std, ys_std, idx);
+        let mut pass = KatLikelihoodGrad::new(kat);
+        let mut got = vec![f64::NAN; want.len()];
+        // Twice through one pass: its buffers carry nothing over.
+        for round in 0..2 {
+            let ll = pass.run(kat, xs_std, ys_std, idx, &mut got);
+            assert_eq!(
+                ll.to_bits(),
+                want_ll.to_bits(),
+                "{what}: loss {ll:e} vs tape {want_ll:e}"
+            );
+            for (p, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{what} round {round}: ∂/∂θ[{p}] pass {g:e} vs tape {w:e}"
+                );
+            }
+        }
+    }
+
+    /// Alignment parameters: random inits, the near-identity decoder and
+    /// both ends of the ±20 / log-noise [−6, 2] training clamps.
+    fn alignment_cases(kat: &KatGp, seed: u64) -> Vec<(Vec<f64>, Vec<f64>, f64)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n_enc, n_dec) = (kat.enc_params.len(), kat.dec_params.len());
+        let alternate = |n: usize, v: f64| -> Vec<f64> {
+            (0..n).map(|p| if p % 2 == 0 { v } else { -v }).collect()
+        };
+        vec![
+            (
+                kat.enc_params.clone(),
+                kat.dec_params.clone(),
+                kat.log_noise,
+            ),
+            (
+                kat.encoder.init_params(&mut rng),
+                kat.decoder.init_params(&mut rng),
+                0.2_f64.ln(),
+            ),
+            (
+                kat.encoder.init_params(&mut rng),
+                kat.decoder.init_near_identity(&mut rng),
+                -1.3,
+            ),
+            (
+                (0..n_enc).map(|_| rng.gen_range(-20.0..=20.0)).collect(),
+                (0..n_dec).map(|_| rng.gen_range(-20.0..=20.0)).collect(),
+                0.4,
+            ),
+            (alternate(n_enc, 20.0), alternate(n_dec, 20.0), -6.0),
+            (vec![20.0; n_enc], vec![-20.0; n_dec], 2.0),
+            (vec![-20.0; n_enc], vec![20.0; n_dec], -6.0),
+        ]
+    }
+
+    #[test]
+    fn kat_pass_matches_tape_bitwise() {
+        for (s, spec) in equivalence_sources().iter().enumerate() {
+            let (_, mut kat) = equivalence_kat(spec, 50 + s as u64);
+            let mut rng = StdRng::seed_from_u64(60 + s as u64);
+            // Duplicate target rows (and a duplicated target value), and
+            // the points visited in a shuffled order as a subsample is.
+            let mut xs_std = random_rows(7, 2, &mut rng);
+            xs_std.push(xs_std[2].clone());
+            xs_std.insert(4, xs_std[0].clone());
+            let ys_std: Vec<f64> = (0..xs_std.len())
+                .map(|i| {
+                    if i == 4 {
+                        0.25
+                    } else {
+                        rng.gen_range(-2.0..2.0)
+                    }
+                })
+                .collect();
+            let mut idx: Vec<usize> = (0..xs_std.len()).collect();
+            idx.shuffle(&mut rng);
+            for (c, (enc, dec, noise)) in
+                alignment_cases(&kat, 70 + s as u64).into_iter().enumerate()
+            {
+                kat.enc_params = enc;
+                kat.dec_params = dec;
+                kat.log_noise = noise;
+                let what = format!("source {s} case {c}");
+                assert_pass_matches_tape(&kat, &xs_std, &ys_std, &idx, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn kat_pass_matches_tape_across_the_variance_floor() {
+        // An ARD source whose prior variance sits just above the 1e-10
+        // floor: a target that encodes exactly onto a source point has its
+        // posterior variance floored (the floor takes the adjoint, the
+        // kernel vector gets none through the variance), one encoded
+        // farther away does not.
+        let (source, mut kat) = equivalence_kat(&KernelSpec::ard_rbf(3), 80);
+        let mut kp = kat.kernel_params.clone();
+        kp[0] = 1.005e-10_f64.ln();
+        kat.src_kernel = ExactKernel::new(&kat.kernel, &kp);
+        kat.kernel_params = kp;
+        kat.src_kernel.features(&kat.xs_src, &mut kat.src_feats);
+        let mut gram = source_gram(&kat.src_kernel, &kat.src_feats, kat.xs_src.len());
+        gram.add_diagonal(1e-8);
+        kat.chol_src = CholeskyFactor::new(&gram).unwrap();
+        // Encoder: u = x_s0 + σ(20·x_0)·(0.7, −0.4, 0.9), so x_0 = −40
+        // encodes exactly onto x_s0.
+        let (d_in, hidden) = (2, 32);
+        let mut enc = vec![0.0; kat.enc_params.len()];
+        enc[0] = 20.0;
+        let w2_at = d_in * hidden + hidden;
+        for (o, step) in [0.7, -0.4, 0.9].iter().enumerate() {
+            enc[w2_at + o * hidden] = *step;
+        }
+        let b2_at = w2_at + 3 * hidden;
+        enc[b2_at..].copy_from_slice(&source.xs_std()[0]);
+        kat.enc_params = enc;
+        let xs_std = vec![
+            vec![-40.0, 0.3],
+            vec![1.5, -0.2],
+            vec![-40.0, -1.1],
+            vec![0.8, 0.9],
+        ];
+        let ys_std = vec![0.4, -0.6, 1.2, 0.1];
+        let idx = vec![0, 1, 2, 3];
+        let mut floored = Vec::new();
+        let mut point = PointPass::default();
+        for x in &xs_std {
+            kat.forward(x, &mut point);
+            floored.push(point.v_diff < 1e-10);
+        }
+        assert_eq!(
+            floored,
+            [true, false, true, false],
+            "floor branches not both hit"
+        );
+        for (c, (_, dec, noise)) in alignment_cases(&kat, 90).into_iter().enumerate() {
+            kat.dec_params = dec;
+            kat.log_noise = noise;
+            assert_pass_matches_tape(&kat, &xs_std, &ys_std, &idx, &format!("floor case {c}"));
+        }
+    }
+
+    /// The former taped training loop, kept as the reference for
+    /// [`KatGp::train`]: same subsample, Adam, clip and clamps.
+    fn taped_train(kat: &mut KatGp, x_t: &[Vec<f64>], y_t: &[f64], config: &KatConfig) -> f64 {
+        let xs_std: Vec<Vec<f64>> = x_t.iter().map(|r| kat.x_scaler.transform(r)).collect();
+        let ys_std: Vec<f64> = y_t
+            .iter()
+            .map(|&v| kat.y_scaler.transform_scalar(v, 0))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(17));
+        let idx: Vec<usize> = if xs_std.len() > config.target_subsample {
+            let mut all: Vec<usize> = (0..xs_std.len()).collect();
+            all.shuffle(&mut rng);
+            all.truncate(config.target_subsample);
+            all
+        } else {
+            (0..xs_std.len()).collect()
+        };
+        let (n_enc, n_dec) = (kat.enc_params.len(), kat.dec_params.len());
+        let n_params = n_enc + n_dec + 1;
+        let mut opt = Adam::new(n_params, config.lr);
+        let mut best = (
+            f64::NEG_INFINITY,
+            kat.enc_params.clone(),
+            kat.dec_params.clone(),
+            kat.log_noise,
+        );
+        for _ in 0..config.train_iters {
+            let (ll, mut g) = taped_loss(kat, &xs_std, &ys_std, &idx);
+            if ll.is_finite() && ll > best.0 {
+                best = (
+                    ll,
+                    kat.enc_params.clone(),
+                    kat.dec_params.clone(),
+                    kat.log_noise,
+                );
+            }
+            for gi in g.iter_mut() {
+                *gi = -*gi;
+            }
+            let _ = clip_gradients(&mut g, config.grad_clip);
+            let mut theta: Vec<f64> = kat
+                .enc_params
+                .iter()
+                .chain(&kat.dec_params)
+                .copied()
+                .chain(std::iter::once(kat.log_noise))
+                .collect();
+            opt.step(&mut theta, &g);
+            kat.log_noise = theta[n_params - 1].clamp(-6.0, 2.0);
+            kat.enc_params = theta[..n_enc].to_vec();
+            kat.dec_params = theta[n_enc..n_enc + n_dec].to_vec();
+            for p in kat.enc_params.iter_mut().chain(&mut kat.dec_params) {
+                *p = p.clamp(-20.0, 20.0);
+            }
+        }
+        if best.0 > f64::NEG_INFINITY {
+            kat.enc_params = best.1;
+            kat.dec_params = best.2;
+            kat.log_noise = best.3;
+        }
+        best.0
+    }
+
+    #[test]
+    fn training_matches_taped_training_bitwise() {
+        // Whole Adam runs — a cold restart's init and the warm pass
+        // `append` takes — subsampled, land on the same bits.
+        let cfg = KatConfig {
+            train_iters: 4,
+            target_subsample: 9,
+            ..KatConfig::fast()
+        };
+        for (s, spec) in equivalence_sources().iter().enumerate() {
+            let (_, kat) = equivalence_kat(spec, 100 + s as u64);
+            let mut rng = StdRng::seed_from_u64(110 + s as u64);
+            let x_t = random_rows(12, 2, &mut rng);
+            let y_t: Vec<f64> = x_t.iter().map(|x| x[0] * x[1] - 0.5).collect();
+            let mut cold = kat.clone();
+            let mut init_rng = StdRng::seed_from_u64(mix_seed(cfg.seed, 1));
+            cold.enc_params = cold.encoder.init_params(&mut init_rng);
+            cold.dec_params = cold.decoder.init_near_identity(&mut init_rng);
+            for (c, start) in [cold, kat].into_iter().enumerate() {
+                let (mut hand, mut taped) = (start.clone(), start);
+                let ll = hand.train(&x_t, &y_t, &cfg).unwrap();
+                let want = taped_train(&mut taped, &x_t, &y_t, &cfg);
+                assert_eq!(ll.to_bits(), want.to_bits(), "source {s}/{c}: best ll");
+                assert_eq!(hand.enc_params, taped.enc_params, "source {s}/{c}: encoder");
+                assert_eq!(hand.dec_params, taped.dec_params, "source {s}/{c}: decoder");
+                assert_eq!(hand.log_noise.to_bits(), taped.log_noise.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn prediction_paths_match_generic_predictive_bitwise() {
+        for (s, spec) in equivalence_sources().iter().enumerate() {
+            let (source, mut kat) = equivalence_kat(spec, 120 + s as u64);
+            // fit's source Gram, entry by entry and through the factor.
+            let xs = source.xs_std();
+            let m = xs.len();
+            assert_eq!(kat.source_len(), m);
+            let kp = &kat.kernel_params;
+            let mut generic = Matrix::from_fn(m, m, |i, j| kat.kernel.eval(kp, &xs[i], &xs[j]));
+            let gram = source_gram(&kat.src_kernel, &kat.src_feats, m);
+            for i in 0..m {
+                for j in 0..m {
+                    assert_eq!(
+                        gram[(i, j)].to_bits(),
+                        generic[(i, j)].to_bits(),
+                        "source {s} K[{i}][{j}]"
+                    );
+                }
+            }
+            generic.add_diagonal(source.noise_variance().max(1e-8) + 1e-9);
+            let chol = CholeskyFactor::new(&generic).unwrap();
+            assert_eq!(
+                chol.l().as_slice(),
+                kat.chol_src.l().as_slice(),
+                "source {s} factor"
+            );
+
+            // predict and the warm-start score, at fitted and random
+            // alignments, on a grown dataset with a duplicate row.
+            let mut rng = StdRng::seed_from_u64(130 + s as u64);
+            for c in 0..3 {
+                if c > 0 {
+                    kat.enc_params = kat.encoder.init_params(&mut rng);
+                    kat.dec_params = kat.decoder.init_params(&mut rng);
+                }
+                kat.xt.push(random_rows(1, 2, &mut rng).remove(0));
+                kat.xt.push(kat.xt[0].clone());
+                kat.yt.extend([rng.gen_range(-3.0..3.0), kat.yt[0]]);
+                let sigma2 = (kat.log_noise * 2.0).exp();
+                let mut total = 0.0;
+                for (x, &y) in kat.xt.iter().zip(&kat.yt) {
+                    let x_std = kat.x_scaler.transform(x);
+                    let (mu, v) = kat.predictive_scalar(&kat.enc_params, &kat.dec_params, &x_std);
+                    let (pm, pv) = kat.predict(x);
+                    let sc = kat.y_scaler.scale(0);
+                    assert_eq!(
+                        pm.to_bits(),
+                        kat.y_scaler.inverse_scalar(mu, 0).to_bits(),
+                        "source {s}/{c} mean"
+                    );
+                    assert_eq!(
+                        pv.to_bits(),
+                        (v * sc * sc).max(1e-12).to_bits(),
+                        "source {s}/{c} var"
+                    );
+                    let var_total = v + sigma2;
+                    let resid = mu - kat.y_scaler.transform_scalar(y, 0);
+                    total += -0.5 * (var_total * 2.0 * std::f64::consts::PI).ln()
+                        - resid * resid / (2.0 * var_total);
+                }
+                let want = total / kat.yt.len() as f64;
+                let got = kat.warm_log_likelihood_per_point();
+                assert_eq!(got.to_bits(), want.to_bits(), "source {s}/{c} warm score");
+            }
+        }
     }
 }

@@ -1,3 +1,4 @@
+#[cfg(test)]
 use kato_autodiff::Scalar;
 use kato_linalg::Matrix;
 use rand::Rng;
@@ -45,6 +46,9 @@ impl PrimitiveKernel {
     /// Evaluates the primitive on projected feature vectors `a`, `b`.
     ///
     /// `internal` must hold [`PrimitiveKernel::internal_param_count`] values.
+    /// The generic form is the test reference the hand-written reverse
+    /// sweeps are checked against, bit for bit, on taped inputs.
+    #[cfg(test)]
     pub fn eval<S: Scalar>(self, internal: &[S], a: &[S], b: &[S]) -> S {
         debug_assert_eq!(a.len(), b.len());
         let ctx = a[0];
@@ -164,6 +168,7 @@ impl NeukSpec {
     /// # Panics
     ///
     /// Panics (debug) if `params` has the wrong length.
+    #[cfg(test)]
     pub fn eval<S: Scalar>(&self, params: &[S], a: &[S], b: &[S]) -> S {
         debug_assert_eq!(params.len(), self.param_count(), "Neuk param mismatch");
         let ctx = params[0];
@@ -276,7 +281,9 @@ impl KernelSpec {
         }
     }
 
-    /// Evaluates `k(a, b)`.
+    /// Evaluates `k(a, b)` generically — the test reference for the
+    /// hand-written evaluator and reverse sweeps of this crate.
+    #[cfg(test)]
     pub fn eval<S: Scalar>(&self, params: &[S], a: &[S], b: &[S]) -> S {
         match self {
             KernelSpec::ArdRbf { dim } => {
@@ -303,8 +310,9 @@ impl KernelSpec {
     /// A cross covariance between two prepared sets then costs only the
     /// primitive-kernel arithmetic, which is what makes
     /// `predict_batch`-style inference profitable even on one thread.
-    /// Values agree with [`KernelSpec::eval`] to floating-point
-    /// re-association error (≪ 1e-10), not bitwise.
+    /// Values agree with the exact per-pair evaluation (the one training
+    /// uses) to floating-point re-association error (≪ 1e-10), not
+    /// bitwise.
     #[must_use]
     pub fn prepare(&self, params: &[f64], pts: &[Vec<f64>]) -> PreparedKernel {
         match self {
@@ -522,17 +530,19 @@ enum Family {
     },
 }
 
-/// Hyperparameter-hoisted evaluator of [`KernelSpec::eval`] whose values
-/// are bit-for-bit those of the generic `f64` evaluation, plus the reverse
-/// sweep of the taped evaluation.
+/// Hyperparameter-hoisted kernel evaluator whose values are bit-for-bit
+/// those of the generic evaluation `KernelSpec::eval` (kept as a test
+/// reference), plus the reverse sweeps of the taped evaluation.
 ///
 /// Unlike [`PreparedKernel`], nothing is re-associated: every entry is
 /// formed by the same operations in the same order as the generic code;
 /// only values that depend on the parameters alone (exp'd lengthscales and
 /// shapes, softplus weights) or on one point alone (Neuk projections) are
 /// computed once instead of once per pair. The reverse sweep
-/// ([`ExactKernel::backward`]) replays the adjoint arithmetic
-/// [`kato_autodiff::Tape::backward_seeded`] performs on the taped
+/// ([`ExactKernel::backward`] for the parameters,
+/// [`ExactKernel::backward_first`] for the first argument) replays the
+/// adjoint arithmetic the seeded reverse sweep of an autodiff tape
+/// (`kato_autodiff`, a test-only dependency) performs on the taped
 /// evaluation: node by node in reverse creation order, partials formed as
 /// the tape forms them (`adj·(1/v)`, never `adj/v`), and nodes with a zero
 /// adjoint skipped. Every gradient component therefore equals the tape's
@@ -542,13 +552,13 @@ enum Family {
 /// *slot* of `slot_len` values: `k`, then `h_p` per primitive, then each
 /// primitive's extras (RQ: `ln(1 + r²/2α)`; periodic: one `sin` per latent
 /// dimension; Matérn: `exp(−√5 r)`). ARD slots hold `k` and `exp(−s)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ExactKernel {
     family: Family,
     input: usize,
     params: Vec<f64>,
-    /// ARD: `(ℓ_i, ℓ_i²)` per input dimension.
-    ard: Vec<(f64, f64)>,
+    /// ARD: `(ℓ_i, ℓ_i², 1/ℓ_i)` per input dimension.
+    ard: Vec<(f64, f64, f64)>,
     prims: Vec<HoistedPrim>,
     /// Neuk mixing weights, row-major `[mix row][primitive]`.
     mix: Vec<Softplus>,
@@ -593,7 +603,7 @@ impl ExactKernel {
             KernelSpec::ArdRbf { dim } => {
                 self.ard.extend(params[1..=*dim].iter().map(|p| {
                     let ls = p.exp();
-                    (ls, ls * ls)
+                    (ls, ls * ls, 1.0 / ls)
                 }));
                 self.family = Family::Ard {
                     amp: params[0].exp(),
@@ -657,40 +667,46 @@ impl ExactKernel {
 
     /// Per-point feature width: the input itself for ARD, the projections
     /// `[primitive][latent]` for Neuk.
-    fn feat_len(&self) -> usize {
+    pub(crate) fn feat_len(&self) -> usize {
         match self.family {
             Family::Ard { .. } => self.input,
             Family::Neuk { latent, .. } => self.prims.len() * latent,
         }
     }
 
+    /// Values one pair evaluation leaves for its reverse sweep.
+    pub(crate) fn slot_len(&self) -> usize {
+        self.slot_len
+    }
+
     /// Appends the features of every point to `out` (cleared first).
-    fn features(&self, pts: &[Vec<f64>], out: &mut Vec<f64>) {
+    pub(crate) fn features(&self, pts: &[Vec<f64>], out: &mut Vec<f64>) {
         out.clear();
+        for x in pts {
+            self.point_features(x, out);
+        }
+    }
+
+    /// Appends the features of one point to `out`.
+    pub(crate) fn point_features(&self, x: &[f64], out: &mut Vec<f64>) {
         match self.family {
-            Family::Ard { .. } => {
-                for x in pts {
-                    out.extend_from_slice(x);
-                }
-            }
+            Family::Ard { .. } => out.extend_from_slice(x),
             Family::Neuk { .. } => {
-                for x in pts {
-                    for hp in &self.prims {
-                        let w = &self.params[hp.proj_at..hp.bias_at];
-                        let bias = &self.params[hp.bias_at..hp.shape_at];
-                        project(w, bias, x, out);
-                    }
+                for hp in &self.prims {
+                    let w = &self.params[hp.proj_at..hp.bias_at];
+                    let bias = &self.params[hp.bias_at..hp.shape_at];
+                    project(w, bias, x, out);
                 }
             }
         }
     }
 
     /// `k(a, b)` from the two points' features, filling `slot`.
-    fn eval(&self, fa: &[f64], fb: &[f64], slot: &mut [f64]) -> f64 {
+    pub(crate) fn eval(&self, fa: &[f64], fb: &[f64], slot: &mut [f64]) -> f64 {
         match self.family {
             Family::Ard { amp } => {
                 let mut s = 0.0;
-                for (i, &(ls, _)) in self.ard.iter().enumerate() {
+                for (i, &(ls, ..)) in self.ard.iter().enumerate() {
                     let d = (fa[i] - fb[i]) / ls;
                     s += d * d;
                 }
@@ -795,20 +811,80 @@ impl ExactKernel {
                     grad[bz_at + j] += adj;
                 }
                 grad[bz_at + mix_dim] += adj;
-                for (p, hp) in self.prims.iter().enumerate().rev() {
-                    // h_p feeds one product per mixing row, last row first.
-                    let mut adj_h = 0.0;
-                    for j in (0..mix_dim).rev() {
-                        adj_h += adj * self.mix[j * n_prims + p].value;
+                let mut sink = ParamSink { xa, xb, grad };
+                self.prims_backward((latent, mix_dim), adj, (fa, fb), slot, &mut sink);
+            }
+        }
+    }
+
+    /// Adds `seed · ∂k(a, b)/∂a` to `adj_a` exactly as the tape's reverse
+    /// sweep over one taped `eval(params, a, b)` with constant parameters
+    /// and `b` would; `fa`/`fb` are the points' features and `slot` the
+    /// one [`ExactKernel::eval`] filled for the pair. With `b_is_a` the
+    /// pair is `k(a, a)` and both argument chains reach `adj_a`: ARD's
+    /// difference node hands `a` its share before `b`, while each Neuk
+    /// projection of `b` was taped after that of `a`, so `b` is pushed
+    /// first.
+    pub(crate) fn backward_first(
+        &self,
+        (fa, fb): (&[f64], &[f64]),
+        slot: &[f64],
+        seed: f64,
+        b_is_a: bool,
+        adj_a: &mut [f64],
+    ) {
+        let adj_k = 0.0 + seed;
+        if adj_k == 0.0 {
+            return;
+        }
+        match self.family {
+            Family::Ard { amp } => {
+                let Some(adj_s) = self.ard_sum_adjoint(amp, slot, adj_k) else {
+                    return;
+                };
+                for (i, &(ls, _, inv_ls)) in self.ard.iter().enumerate().rev() {
+                    let d = (fa[i] - fb[i]) / ls;
+                    let mut adj_d = 0.0;
+                    adj_d += adj_s * d;
+                    adj_d += adj_s * d;
+                    if adj_d == 0.0 {
+                        continue;
                     }
-                    if adj_h != 0.0 {
-                        let span = p * latent..(p + 1) * latent;
-                        let pair = (xa, &fa[span.clone()], xb, &fb[span]);
-                        self.prim_backward(hp, pair, slot, slot[1 + p], adj_h, grad);
+                    let adj_sub = adj_d * inv_ls;
+                    if adj_sub != 0.0 {
+                        adj_a[i] += adj_sub;
+                        if b_is_a {
+                            adj_a[i] += adj_sub * -1.0;
+                        }
                     }
                 }
             }
+            Family::Neuk {
+                latent, mix_dim, ..
+            } => {
+                let adj = adj_k * slot[0];
+                if adj == 0.0 {
+                    return;
+                }
+                let mut sink = InputSink {
+                    params: &self.params,
+                    adj_a,
+                    b_is_a,
+                };
+                self.prims_backward((latent, mix_dim), adj, (fa, fb), slot, &mut sink);
+            }
         }
+    }
+
+    /// The adjoint of ARD's `s = Σ ((a_i − b_i)/ℓ_i)²` under
+    /// `k = amp · exp(−s)`, or `None` where the tape's sweep stops short.
+    fn ard_sum_adjoint(&self, amp: f64, slot: &[f64], adj_k: f64) -> Option<f64> {
+        let adj_ex = adj_k * amp;
+        if adj_ex == 0.0 {
+            return None;
+        }
+        let adj_neg = adj_ex * slot[1];
+        (adj_neg != 0.0).then_some(adj_neg * -1.0)
     }
 
     fn ard_backward(
@@ -821,24 +897,18 @@ impl ExactKernel {
         grad: &mut [f64],
     ) {
         // k = amp · exp(−s), s = Σ ((a_i − b_i)/ℓ_i)².
-        let ex = slot[1];
-        let adj_amp = adj_k * ex;
-        let adj_ex = adj_k * amp;
-        if adj_ex != 0.0 {
-            let adj_neg = adj_ex * ex;
-            if adj_neg != 0.0 {
-                let adj_s = adj_neg * -1.0;
-                for (i, &(ls, ls_sq)) in self.ard.iter().enumerate().rev() {
-                    let sub = xa[i] - xb[i];
-                    let d = sub / ls;
-                    let mut adj_d = 0.0;
-                    adj_d += adj_s * d;
-                    adj_d += adj_s * d;
-                    if adj_d != 0.0 {
-                        let adj_ls = adj_d * (-sub / ls_sq);
-                        if adj_ls != 0.0 {
-                            grad[1 + i] += adj_ls * ls;
-                        }
+        let adj_amp = adj_k * slot[1];
+        if let Some(adj_s) = self.ard_sum_adjoint(amp, slot, adj_k) {
+            for (i, &(ls, ls_sq, _)) in self.ard.iter().enumerate().rev() {
+                let sub = xa[i] - xb[i];
+                let d = sub / ls;
+                let mut adj_d = 0.0;
+                adj_d += adj_s * d;
+                adj_d += adj_s * d;
+                if adj_d != 0.0 {
+                    let adj_ls = adj_d * (-sub / ls_sq);
+                    if adj_ls != 0.0 {
+                        grad[1 + i] += adj_ls * ls;
                     }
                 }
             }
@@ -848,23 +918,45 @@ impl ExactKernel {
         }
     }
 
+    /// Reverse sweep below a Neuk output whose exponent carries the
+    /// adjoint `adj`: primitive by primitive, last first, each `h_p`
+    /// hearing from one mixing product per row, last row first.
+    fn prims_backward<S: LatentSink>(
+        &self,
+        (latent, mix_dim): (usize, usize),
+        adj: f64,
+        (fa, fb): (&[f64], &[f64]),
+        slot: &[f64],
+        sink: &mut S,
+    ) {
+        let n_prims = self.prims.len();
+        for (p, hp) in self.prims.iter().enumerate().rev() {
+            let mut adj_h = 0.0;
+            for j in (0..mix_dim).rev() {
+                adj_h += adj * self.mix[j * n_prims + p].value;
+            }
+            if adj_h != 0.0 {
+                let span = p * latent..(p + 1) * latent;
+                let pair = (&fa[span.clone()], &fb[span]);
+                self.prim_backward(hp, pair, slot, slot[1 + p], adj_h, sink);
+            }
+        }
+    }
+
     /// Reverse sweep of one primitive, output `h`, from its adjoint `adj_h`;
     /// `a`/`b` are the pair's projections for this primitive.
-    fn prim_backward(
+    fn prim_backward<S: LatentSink>(
         &self,
         hp: &HoistedPrim,
-        (xa, a, xb, b): (&[f64], &[f64], &[f64], &[f64]),
+        (a, b): (&[f64], &[f64]),
         slot: &[f64],
         h: f64,
         adj_h: f64,
-        grad: &mut [f64],
+        sink: &mut S,
     ) {
         let latent = a.len();
-        let project = |grad: &mut [f64], l: usize, adj_sub: f64| {
-            self.projection_backward(hp, l, adj_sub, xa, xb, grad);
-        };
         // r² = Σ (a_l − b_l)²: each difference receives its adjoint twice.
-        let r2_backward = |grad: &mut [f64], adj_r2: f64| {
+        let r2_backward = |sink: &mut S, adj_r2: f64| {
             if adj_r2 == 0.0 {
                 return;
             }
@@ -873,7 +965,7 @@ impl ExactKernel {
                 let mut adj_sub = 0.0;
                 adj_sub += adj_r2 * d;
                 adj_sub += adj_r2 * d;
-                project(grad, l, adj_sub);
+                sink.latent(hp, l, adj_sub);
             }
         };
         match hp.prim {
@@ -881,7 +973,7 @@ impl ExactKernel {
                 // h = exp(−r²)
                 let adj_neg = adj_h * h;
                 if adj_neg != 0.0 {
-                    r2_backward(grad, adj_neg * -1.0);
+                    r2_backward(sink, adj_neg * -1.0);
                 }
             }
             PrimitiveKernel::RationalQuadratic => {
@@ -908,9 +1000,9 @@ impl ExactKernel {
                     }
                 }
                 if adj_alpha != 0.0 {
-                    grad[hp.shape_at] += adj_alpha * hp.shape;
+                    sink.shape(hp, adj_alpha);
                 }
-                r2_backward(grad, adj_r2);
+                r2_backward(sink, adj_r2);
             }
             PrimitiveKernel::Periodic => {
                 // h = exp(−(Σ sin²((a_l − b_l)·π/p)·2))
@@ -936,11 +1028,11 @@ impl ExactKernel {
                     let adj_t = adj_arg * hp.inv_den;
                     adj_period += adj_arg * (-t / hp.den_sq);
                     if adj_t != 0.0 {
-                        project(grad, l, adj_t * std::f64::consts::PI);
+                        sink.latent(hp, l, adj_t * std::f64::consts::PI);
                     }
                 }
                 if adj_period != 0.0 {
-                    grad[hp.shape_at] += adj_period * hp.shape;
+                    sink.shape(hp, adj_period);
                 }
             }
             PrimitiveKernel::Matern52 => {
@@ -974,40 +1066,13 @@ impl ExactKernel {
                         }
                     }
                 }
-                r2_backward(grad, adj_r2);
+                r2_backward(sink, adj_r2);
             }
         }
     }
 
-    /// Pushes the adjoint of one latent difference `a_l − b_l` down both
-    /// projection chains `bias_l + Σ_i W_li·x_i`: the `b` chain was taped
-    /// after the `a` chain, so each weight and the bias hear from `b`
-    /// first.
-    fn projection_backward(
-        &self,
-        hp: &HoistedPrim,
-        l: usize,
-        adj_sub: f64,
-        xa: &[f64],
-        xb: &[f64],
-        grad: &mut [f64],
-    ) {
-        if adj_sub == 0.0 {
-            return;
-        }
-        let (ga, gb) = (adj_sub, adj_sub * -1.0);
-        let d = self.input;
-        let w = &mut grad[hp.proj_at + l * d..hp.proj_at + (l + 1) * d];
-        for ((g, &va), &vb) in w.iter_mut().zip(xa).zip(xb) {
-            *g += gb * vb;
-            *g += ga * va;
-        }
-        grad[hp.bias_at + l] += gb;
-        grad[hp.bias_at + l] += ga;
-    }
-
-    /// The noiseless Gram matrix over `pts`, bitwise
-    /// `KernelSpec::eval(params, pts[i], pts[j])` for `i ≤ j`, mirrored.
+    /// The noiseless Gram matrix over `pts`, bitwise the generic
+    /// `eval(params, pts[i], pts[j])` for `i ≤ j`, mirrored.
     pub(crate) fn gram(&self, pts: &[Vec<f64>]) -> Matrix {
         let mut feats = Vec::new();
         self.features(pts, &mut feats);
@@ -1017,8 +1082,8 @@ impl ExactKernel {
         gram
     }
 
-    /// The `later.len() × earlier.len()` block whose entry `(p, j)` is
-    /// `KernelSpec::eval(params, earlier[j], later[p])` bitwise — each pair
+    /// The `later.len() × earlier.len()` block whose entry `(p, j)` is the
+    /// generic `eval(params, earlier[j], later[p])` bitwise — each pair
     /// oriented as the Gram of `earlier ++ later` orients it.
     pub(crate) fn cross(&self, earlier: &[Vec<f64>], later: &[Vec<f64>]) -> Matrix {
         let (mut fe, mut fl) = (Vec::new(), Vec::new());
@@ -1057,9 +1122,83 @@ impl ExactKernel {
     }
 }
 
+/// Receives what the reverse sweep of one Neuk pair hands below the
+/// primitives.
+trait LatentSink {
+    /// The adjoint of primitive `hp`'s latent difference `a_l − b_l`.
+    fn latent(&mut self, hp: &HoistedPrim, l: usize, adj_sub: f64);
+    /// The adjoint of primitive `hp`'s exp'd shape parameter.
+    fn shape(&mut self, hp: &HoistedPrim, adj: f64);
+}
+
+/// Pushes a pair's adjoints into the kernel-parameter gradient.
+struct ParamSink<'a> {
+    xa: &'a [f64],
+    xb: &'a [f64],
+    grad: &'a mut [f64],
+}
+
+#[allow(clippy::neg_multiply)] // the tape's partial, as in `ExactKernel`
+impl LatentSink for ParamSink<'_> {
+    /// Down both projection chains `bias_l + Σ_i W_li·x_i`: the `b` chain
+    /// was taped after the `a` chain, so each weight and the bias hear
+    /// from `b` first.
+    fn latent(&mut self, hp: &HoistedPrim, l: usize, adj_sub: f64) {
+        if adj_sub == 0.0 {
+            return;
+        }
+        let (ga, gb) = (adj_sub, adj_sub * -1.0);
+        let d = self.xa.len();
+        let w = &mut self.grad[hp.proj_at + l * d..hp.proj_at + (l + 1) * d];
+        for ((g, &va), &vb) in w.iter_mut().zip(self.xa).zip(self.xb) {
+            *g += gb * vb;
+            *g += ga * va;
+        }
+        self.grad[hp.bias_at + l] += gb;
+        self.grad[hp.bias_at + l] += ga;
+    }
+
+    fn shape(&mut self, hp: &HoistedPrim, adj: f64) {
+        self.grad[hp.shape_at] += adj * hp.shape;
+    }
+}
+
+/// Pushes a pair's adjoints into the first argument, through the
+/// projection weights.
+struct InputSink<'a> {
+    params: &'a [f64],
+    adj_a: &'a mut [f64],
+    /// `k(a, a)`: the `b` chain reaches `a` too, ahead of the `a` chain.
+    b_is_a: bool,
+}
+
+#[allow(clippy::neg_multiply)] // the tape's partial, as in `ExactKernel`
+impl LatentSink for InputSink<'_> {
+    fn latent(&mut self, hp: &HoistedPrim, l: usize, adj_sub: f64) {
+        if adj_sub == 0.0 {
+            return;
+        }
+        let d = self.adj_a.len();
+        let w = &self.params[hp.proj_at + l * d..hp.proj_at + (l + 1) * d];
+        if self.b_is_a {
+            let gb = adj_sub * -1.0;
+            for (g, &wi) in self.adj_a.iter_mut().zip(w) {
+                *g += gb * wi;
+                *g += adj_sub * wi;
+            }
+        } else {
+            for (g, &wi) in self.adj_a.iter_mut().zip(w) {
+                *g += adj_sub * wi;
+            }
+        }
+    }
+
+    fn shape(&mut self, _: &HoistedPrim, _: f64) {}
+}
+
 /// Appends one Neuk projection of `x`, `bias_l + Σ_i w_li·x_i` for each
-/// latent row `l` of the row-major `w`, summed left to right as
-/// [`NeukSpec::eval`] sums it.
+/// latent row `l` of the row-major `w`, summed left to right as the
+/// generic `NeukSpec::eval` sums it.
 fn project(w: &[f64], bias: &[f64], x: &[f64], out: &mut Vec<f64>) {
     for (l, &b) in bias.iter().enumerate() {
         let mut s = b;
@@ -1070,8 +1209,8 @@ fn project(w: &[f64], bias: &[f64], x: &[f64], out: &mut Vec<f64>) {
     }
 }
 
-/// `Σ_l (a_l − b_l)²`, summed left to right as [`PrimitiveKernel::eval`]
-/// sums it.
+/// `Σ_l (a_l − b_l)²`, summed left to right as the generic
+/// `PrimitiveKernel::eval` sums it.
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     let mut r2 = 0.0;
     for (x, y) in a.iter().zip(b) {

@@ -17,13 +17,16 @@
 //!   hyperparameter ("B-matrix trick"). The sweep is written by hand for
 //!   ARD-RBF and every Neuk primitive, hoists everything that depends on
 //!   one point or on the parameters alone out of the pair loop, and equals
-//!   the reverse sweep of a [`kato_autodiff::Tape`] over
-//!   [`KernelSpec::eval`] bit for bit; the tape itself now serves KAT-GP's
-//!   alignment training.
+//!   the reverse sweep of an autodiff tape over the generic kernel
+//!   evaluation bit for bit. The tape (`kato_autodiff`) is a test-only
+//!   dependency: the reference these sweeps are checked against.
 //! * **KAT-GP**, paper §3.2 (Eq. 11–12): a frozen source GP wrapped in a
 //!   trainable encoder (target design space → source design space) and
 //!   decoder (source output → target output), with Delta-method moment
-//!   propagation. See [`KatGp`].
+//!   propagation. Its alignment training differentiates Eq. 12 with the
+//!   same hand-written discipline: encoder, source posterior, decoder and
+//!   likelihood are swept in reverse exactly as a tape would sweep them.
+//!   See [`KatGp`].
 //!
 //! Both surrogate families implement [`IncrementalFit`]: per BO iteration
 //! the archive only grows by a batch, so [`update_incremental`] appends
@@ -54,6 +57,7 @@ mod incremental;
 mod katgp;
 mod kernels;
 mod mlp;
+mod optim;
 mod scaler;
 
 pub use error::GpError;
@@ -62,4 +66,5 @@ pub use incremental::{update_incremental, IncrementalFit};
 pub use katgp::{KatConfig, KatGp};
 pub use kernels::{KernelSpec, NeukSpec, PreparedKernel, PrimitiveKernel};
 pub use mlp::MlpSpec;
+pub use optim::{clip_gradients, Adam};
 pub use scaler::Scaler;

@@ -6,7 +6,7 @@
 /// # Example
 ///
 /// ```
-/// use kato_autodiff::Adam;
+/// use kato_gp::Adam;
 ///
 /// // Minimise (p-3)² by stepping along -grad.
 /// let mut p = vec![0.0];
